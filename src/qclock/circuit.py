@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .qcore import (
     DensityMatrix, Operator, PureState, RegisterLayout, _content_lines,
-    _embed_matrix, _parse_entry_lines, fmt_float, state_digest,
+    _embed_matrix, _parse_entry_lines, apply_local, fmt_float, state_digest,
 )
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -139,15 +139,9 @@ def circuit_unitary(c: Circuit) -> Operator:
 def apply_gates(c: Circuit, vec: np.ndarray) -> np.ndarray:
     """Apply the gate sequence to a state vector on the full register."""
     n = c.n_input + c.n_ancilla
-    v = vec.reshape((2,) * n)
     for g in c.gates:
-        k = len(g.targets)
-        rest = [q for q in range(n) if q not in g.targets]
-        perm = list(g.targets) + rest
-        v = v.transpose(perm).reshape(2 ** k, 2 ** (n - k))
-        v = (g.matrix @ v).reshape((2,) * n)
-        v = v.transpose(np.argsort(perm))
-    return v.reshape(-1)
+        vec = apply_local(g.matrix, g.targets, n, vec)
+    return vec
 
 
 def _accept_projector_diag(c: Circuit) -> np.ndarray:

@@ -259,7 +259,7 @@ def history_state(c: Circuit, input_state: PureState) -> PureState:
             f"input has {input_state.num_qubits} qubits, circuit expects {c.n_input}"
         )
     n, m, length = c.n_input, c.n_ancilla, c.length
-    _check_qubit_count(n + m + length, 16, "history_state")
+    _check_qubit_count(n + m + length, QUBIT_CAP, "history_state")
     anc = np.zeros(2 ** m, dtype=complex)
     anc[0] = 1.0
     snap = np.kron(input_state.amplitudes, anc)

@@ -28,7 +28,7 @@ ATOL = 1e-12
 __all__ = [
     "QUBIT_CAP", "DENSE_QUBIT_CAP", "PureState", "DensityMatrix", "Operator",
     "RegisterLayout", "tensor_product", "partial_trace", "expectation",
-    "operator_norm", "embed_operator", "permute_to_sorted", "named_stream",
+    "operator_norm", "apply_local", "permute_to_sorted", "named_stream",
     "fmt_float", "read_state", "write_state", "read_matrix", "write_matrix",
     "state_digest",
 ]
@@ -134,9 +134,6 @@ class Operator:
             if err > 1e-12:
                 raise ValidationError(f"Operator: unitarity defect {err:.3e} above 1e-12")
 
-    def dagger(self) -> "Operator":
-        return Operator(self.num_qubits, self.entries.conj().T, self.kind)
-
 
 @dataclass(frozen=True)
 class RegisterLayout:
@@ -227,6 +224,31 @@ def operator_norm(op: Operator) -> float:
     return float(np.linalg.svd(op.entries, compute_uv=False)[0])
 
 
+def _scatter_table(positions, n: int) -> np.ndarray:
+    """Map every k-bit value onto its n-bit index with bits at `positions`."""
+    k = len(positions)
+    idx = np.arange(2 ** k, dtype=np.int64)
+    out = np.zeros(2 ** k, dtype=np.int64)
+    for j, q in enumerate(positions):
+        out |= ((idx >> (k - 1 - j)) & 1) << (n - 1 - q)
+    return out
+
+
+def _scatter_entries(matrix: np.ndarray, qubits, n: int):
+    """Global (rows, cols, values) of a k-qubit matrix embedded on `qubits`.
+
+    Only the matrix's nonzero entries are kept, each repeated over the
+    2^(n-k) settings of the other qubits, so no (row, col) pair repeats.
+    """
+    rest = [q for q in range(n) if q not in qubits]
+    scat_sup = _scatter_table(qubits, n)
+    scat_rest = _scatter_table(rest, n)
+    r, c = np.nonzero(matrix)
+    rows = (scat_sup[r][:, None] | scat_rest[None, :]).reshape(-1)
+    cols = (scat_sup[c][:, None] | scat_rest[None, :]).reshape(-1)
+    return rows, cols, np.repeat(matrix[r, c], scat_rest.size)
+
+
 def _embed_matrix(matrix: np.ndarray, qubits, n: int) -> np.ndarray:
     """Place a k-qubit matrix on the listed qubits of an n-qubit register.
 
@@ -241,19 +263,25 @@ def _embed_matrix(matrix: np.ndarray, qubits, n: int) -> np.ndarray:
         raise ValidationError(f"embed: qubits {qubits} outside 0..{n - 1}")
     if matrix.shape != (2 ** k, 2 ** k):
         raise ValidationError(f"embed: matrix shape {matrix.shape} does not match {k} qubits")
-    rest = [q for q in range(n) if q not in qubits]
-    full = np.kron(matrix, np.eye(2 ** (n - k), dtype=complex))
-    order = qubits + rest                     # order[axis] = global qubit of that axis
-    perm = np.argsort(order)                  # output axis g comes from axis perm[g]
-    t = full.reshape((2,) * (2 * n))
-    t = t.transpose(tuple(perm) + tuple(p + n for p in perm))
-    return np.ascontiguousarray(t.reshape(2 ** n, 2 ** n))
+    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    rows, cols, vals = _scatter_entries(matrix, qubits, n)
+    out[rows, cols] = vals
+    return out
 
 
-def embed_operator(op: Operator, qubits, n: int) -> Operator:
-    _check_qubit_count(n, DENSE_QUBIT_CAP, "embed_operator")
-    kind = op.kind if op.kind in ("hermitian", "unitary") else "general"
-    return Operator(n, _embed_matrix(op.entries, qubits, n), kind)
+def apply_local(matrix: np.ndarray, support, n: int, vec: np.ndarray) -> np.ndarray:
+    """matrix (on the qubits in `support`, in that factor order) times vec.
+
+    Matrix-free: the vector's qubit axes are permuted so that the support
+    leads, multiplied, and permuted back. Returns a flat length-2^n vector.
+    """
+    k = len(support)
+    rest = [q for q in range(n) if q not in support]
+    perm = list(support) + rest
+    t = vec.reshape((2,) * n).transpose(perm).reshape(2 ** k, -1)
+    t = matrix @ t
+    t = t.reshape((2,) * n).transpose(np.argsort(perm))
+    return t.reshape(-1)
 
 
 def permute_to_sorted(matrix: np.ndarray, qubits):

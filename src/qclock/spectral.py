@@ -1,9 +1,10 @@
 """Assembly and diagonalization of local Hamiltonians.
 
-Three independent routes from a term list to numbers: dense assembly
-(kron + axis permutation), sparse assembly (bit-scatter of term entries),
-and a matrix-free matvec used by the iterative eigensolver. Dense handles
-up to 12 qubits, sparse up to 16.
+One scatter helper (qcore._scatter_entries) maps each term's nonzero
+entries to their global (row, col) indices; it feeds both the dense matrix,
+accumulated in term order, and the sparse (CSR) one. The matvec used by the
+iterative eigensolver stays matrix-free. Dense handles up to 12 qubits,
+sparse up to 16.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import scipy.sparse.linalg
 
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
 from .qcore import (
-    DENSE_QUBIT_CAP, QUBIT_CAP, Operator, PureState, fmt_float, named_stream,
+    DENSE_QUBIT_CAP, QUBIT_CAP, Operator, PureState, _scatter_entries,
+    apply_local, fmt_float, named_stream,
 )
 from .clockham import LocalHamiltonian
 
@@ -60,25 +62,17 @@ def assemble(h: LocalHamiltonian) -> Operator:
         raise ResourceLimitError(
             f"dense assembly of {n} qubits exceeds the cap of {DENSE_QUBIT_CAP}"
         )
-    from .qcore import _embed_matrix
     total = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for term in h.terms:
-        total += term.weight * _embed_matrix(term.matrix, list(term.support), n)
+        # one term's (row, col) pairs never repeat, so fancy-index += is
+        # exact, and terms add in list order
+        rows, cols, vals = _scatter_entries(term.matrix, term.support, n)
+        total[rows, cols] += term.weight * vals
     return Operator(n, total, "hermitian")
 
 
-def _scatter_table(positions, n: int) -> np.ndarray:
-    """Map every k-bit value onto its n-bit index with bits at `positions`."""
-    k = len(positions)
-    idx = np.arange(2 ** k, dtype=np.int64)
-    out = np.zeros(2 ** k, dtype=np.int64)
-    for j, q in enumerate(positions):
-        out |= ((idx >> (k - 1 - j)) & 1) << (n - 1 - q)
-    return out
-
-
 def assemble_sparse(h: LocalHamiltonian) -> scipy.sparse.csr_matrix:
-    """Sparse (CSR) assembly via bit scatter; independent of the dense path."""
+    """Sparse (CSR) assembly of the weighted term sum."""
     n = h.num_qubits
     if n > QUBIT_CAP:
         raise ResourceLimitError(
@@ -87,17 +81,10 @@ def assemble_sparse(h: LocalHamiltonian) -> scipy.sparse.csr_matrix:
     dim = 2 ** n
     rows, cols, vals = [], [], []
     for term in h.terms:
-        support = list(term.support)
-        rest = [q for q in range(n) if q not in support]
-        scat_sup = _scatter_table(support, n)
-        scat_rest = _scatter_table(rest, n)
-        r, c = np.nonzero(term.matrix)
-        v = term.weight * term.matrix[r, c]
-        big_r = (scat_sup[r][:, None] | scat_rest[None, :]).reshape(-1)
-        big_c = (scat_sup[c][:, None] | scat_rest[None, :]).reshape(-1)
-        rows.append(big_r)
-        cols.append(big_c)
-        vals.append(np.repeat(v, scat_rest.size))
+        r, c, v = _scatter_entries(term.matrix, term.support, n)
+        rows.append(r)
+        cols.append(c)
+        vals.append(term.weight * v)
     if not rows:
         return scipy.sparse.csr_matrix((dim, dim), dtype=complex)
     mat = scipy.sparse.coo_matrix(
@@ -105,16 +92,6 @@ def assemble_sparse(h: LocalHamiltonian) -> scipy.sparse.csr_matrix:
         shape=(dim, dim),
     )
     return mat.tocsr()
-
-
-def _apply_term(term, vec: np.ndarray, n: int) -> np.ndarray:
-    k = len(term.support)
-    rest = [q for q in range(n) if q not in term.support]
-    perm = list(term.support) + rest
-    t = vec.reshape((2,) * n).transpose(perm).reshape(2 ** k, -1)
-    t = term.matrix @ t
-    t = t.reshape((2,) * n).transpose(np.argsort(perm))
-    return t.reshape(-1)
 
 
 def matvec(h: LocalHamiltonian, vec: np.ndarray) -> np.ndarray:
@@ -125,7 +102,7 @@ def matvec(h: LocalHamiltonian, vec: np.ndarray) -> np.ndarray:
         raise ValidationError(f"vector length {vec.size} does not match {n} qubits")
     out = np.zeros_like(vec)
     for term in h.terms:
-        out += term.weight * _apply_term(term, vec, n)
+        out += term.weight * apply_local(term.matrix, term.support, n, vec)
     return out
 
 
