@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .qcore import (
     DensityMatrix, Operator, PureState, RegisterLayout, _content_lines,
-    _embed_matrix, _parse_entry_lines, apply_local, fmt_float, state_digest,
+    _parse_entry_lines, apply_local, fmt_float, state_digest,
 )
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -130,14 +130,11 @@ class OptimalWitness(NamedTuple):
 def circuit_unitary(c: Circuit) -> Operator:
     """Full-register unitary, gates[0] applied first: U = G_L ... G_1."""
     n = c.n_input + c.n_ancilla
-    u = np.eye(2 ** n, dtype=complex)
-    for g in c.gates:
-        u = _embed_matrix(g.matrix, list(g.targets), n) @ u
-    return Operator(n, u, "unitary")
+    return Operator(n, apply_gates(c, np.eye(2 ** n, dtype=complex)), "unitary")
 
 
 def apply_gates(c: Circuit, vec: np.ndarray) -> np.ndarray:
-    """Apply the gate sequence to a state vector on the full register."""
+    """Apply the gate sequence to a full-register vector or block of columns."""
     n = c.n_input + c.n_ancilla
     for g in c.gates:
         vec = apply_local(g.matrix, g.targets, n, vec)

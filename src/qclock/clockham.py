@@ -32,10 +32,10 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .qcore import (
     DENSE_QUBIT_CAP, QUBIT_CAP, DensityMatrix, Operator, PureState,
-    RegisterLayout, _check_qubit_count, _content_lines, _embed_matrix,
-    _parse_entry_lines, fmt_float, partial_trace, permute_to_sorted,
+    RegisterLayout, _check_qubit_count, _content_lines, _parse_entry_lines,
+    apply_local, fmt_float, partial_trace, permute_to_sorted,
 )
-from .circuit import Circuit, apply_gates
+from .circuit import Circuit
 
 PARTS = ("in", "out", "prop_projector", "prop_hopping", "clock")
 _PSD_PARTS = ("in", "out", "prop_projector", "clock")
@@ -233,7 +233,8 @@ def history_transform(c: Circuit) -> Operator:
     """Unitary applying the first t gates when the clock reads t.
 
     Built as the ordered product of clock-controlled gates,
-    W_t = U_t (x) |1>_t<1| + I (x) |0>_t<0|, with W_1 applied first.
+    W_t = U_t (x) |1>_t<1| + I (x) |0>_t<0|, with W_1 applied first, each
+    applied to the columns of the running product by apply_local.
     Diagonal in the clock basis, so legal clock states stay legal.
     """
     layout = RegisterLayout(c.n_input, c.n_ancilla, c.length)
@@ -247,8 +248,7 @@ def history_transform(c: Circuit) -> Operator:
         controlled[: 2 ** k, : 2 ** k] = np.eye(2 ** k)   # clock bit 0 first factor
         controlled[2 ** k:, 2 ** k:] = gate.matrix
         support = [layout.clock_qubit(t)] + list(gate.targets)
-        support, mat = permute_to_sorted(controlled, support)
-        w = _embed_matrix(mat, support, n) @ w
+        w = apply_local(controlled, support, n, w)
     return Operator(n, w, "unitary")
 
 
@@ -267,9 +267,8 @@ def history_state(c: Circuit, input_state: PureState) -> PureState:
     out = np.zeros((2 ** (n + m), dim_c), dtype=complex)
     out[:, ClockState(0, length).basis_index] = snap
     for t in range(1, length + 1):
-        snap = apply_gates(
-            Circuit(c.layout, (c.gates[t - 1],), c.accept_qubit, c.epsilon), snap
-        )
+        gate = c.gates[t - 1]
+        snap = apply_local(gate.matrix, gate.targets, n + m, snap)
         out[:, ClockState(t, length).basis_index] += snap
     vec = out.reshape(-1) / np.sqrt(length + 1)
     return PureState(n + m + length, vec)

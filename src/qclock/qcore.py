@@ -249,39 +249,22 @@ def _scatter_entries(matrix: np.ndarray, qubits, n: int):
     return rows, cols, np.repeat(matrix[r, c], scat_rest.size)
 
 
-def _embed_matrix(matrix: np.ndarray, qubits, n: int) -> np.ndarray:
-    """Place a k-qubit matrix on the listed qubits of an n-qubit register.
-
-    qubits[i] is the global position of the matrix's i-th tensor factor;
-    the rest is identity. Dense, so n is capped by the caller.
-    """
-    qubits = [int(q) for q in qubits]
-    k = len(qubits)
-    if len(set(qubits)) != k:
-        raise ValidationError(f"embed: duplicate qubits {qubits}")
-    if qubits and (min(qubits) < 0 or max(qubits) >= n):
-        raise ValidationError(f"embed: qubits {qubits} outside 0..{n - 1}")
-    if matrix.shape != (2 ** k, 2 ** k):
-        raise ValidationError(f"embed: matrix shape {matrix.shape} does not match {k} qubits")
-    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    rows, cols, vals = _scatter_entries(matrix, qubits, n)
-    out[rows, cols] = vals
-    return out
-
-
 def apply_local(matrix: np.ndarray, support, n: int, vec: np.ndarray) -> np.ndarray:
     """matrix (on the qubits in `support`, in that factor order) times vec.
 
-    Matrix-free: the vector's qubit axes are permuted so that the support
-    leads, multiplied, and permuted back. Returns a flat length-2^n vector.
+    vec is a length-2^n vector or a 2^n x m block of columns; the result has
+    the same shape. Matrix-free: the qubit axes are permuted so that the
+    support leads, multiplied, and permuted back.
     """
     k = len(support)
     rest = [q for q in range(n) if q not in support]
     perm = list(support) + rest
-    t = vec.reshape((2,) * n).transpose(perm).reshape(2 ** k, -1)
+    cols = vec.shape[1:]
+    col_axes = list(range(n, n + len(cols)))
+    t = vec.reshape((2,) * n + cols).transpose(perm + col_axes).reshape(2 ** k, -1)
     t = matrix @ t
-    t = t.reshape((2,) * n).transpose(np.argsort(perm))
-    return t.reshape(-1)
+    t = t.reshape((2,) * n + cols).transpose(list(np.argsort(perm)) + col_axes)
+    return t.reshape(vec.shape)
 
 
 def permute_to_sorted(matrix: np.ndarray, qubits):
@@ -343,10 +326,11 @@ def write_matrix(num_qubits: int, entries: np.ndarray) -> str:
 
 
 def _parse_entry_lines(lines, start_line: int, count: int) -> np.ndarray:
-    vals = np.empty(count, dtype=complex)
+    # count comes from the file, so check it before allocating
     if len(lines) < count:
         raise ParseError(f"expected {count} entry lines, found {len(lines)}",
                          line=start_line + len(lines))
+    vals = np.empty(count, dtype=complex)
     for i, (lineno, text) in enumerate(lines[:count]):
         parts = text.split()
         if len(parts) != 2:
@@ -378,6 +362,8 @@ def _parse_header(lines):
         n = int(parts[1])
     except ValueError:
         raise ParseError(f"bad qubit count {parts[1]!r}", line=lineno) from None
+    if n < 0:
+        raise ParseError(f"negative qubit count {n}", line=lineno)
     return n
 
 

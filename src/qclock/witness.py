@@ -62,6 +62,12 @@ def hamiltonian_energy(rho: DensityMatrix, h: LocalHamiltonian) -> float:
     return float(sum(t.weight * term_expectation(rho, t) for t in h.terms))
 
 
+def _pull_back(rho: DensityMatrix, c: Circuit) -> DensityMatrix:
+    """W^dag rho W for the history transform W of c."""
+    w = history_transform(c).entries
+    return DensityMatrix(rho.num_qubits, w.conj().T @ rho.entries @ w)
+
+
 def extract_witness(rho: DensityMatrix, c: Circuit,
                     ham: LocalHamiltonian | None = None) -> WitnessResult:
     """Pull rho back through the history transform, keep the input register.
@@ -79,9 +85,7 @@ def extract_witness(rho: DensityMatrix, c: Circuit,
         ham = compile_circuit(c)
     elif ham.num_qubits != expected:
         raise ValidationError("Hamiltonian register does not match the circuit")
-    w = history_transform(c).entries
-    pulled = DensityMatrix(expected, w.conj().T @ rho.entries @ w)
-    sigma = partial_trace(pulled, range(c.n_input))
+    sigma = partial_trace(_pull_back(rho, c), range(c.n_input))
     acc = accept_probability(c, sigma).accept_probability
     energy = hamiltonian_energy(rho, ham)
     return WitnessResult(sigma, acc, energy, (), 1, 0)
@@ -195,8 +199,7 @@ def prepare_witness(c: Circuit, params: WitnessParams, source: LowEnergySource,
             f"low-energy source achieved {energy!r}, above target {target!r}"
         )
 
-    w = history_transform(meta).entries
-    pulled = DensityMatrix(h.num_qubits, w.conj().T @ rho.entries @ w)
+    pulled = _pull_back(rho, meta)
     n = c.n_input
     blocks = [
         partial_trace(pulled, range(copy * n, (copy + 1) * n))

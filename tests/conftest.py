@@ -100,22 +100,38 @@ def random_povm_hamiltonian(rng, num_qubits: int, num_terms: int) -> LocalHamilt
     return LocalHamiltonian(num_qubits, tuple(terms))
 
 
+def _embed_oracle(matrix: np.ndarray, support, n: int) -> np.ndarray:
+    """Dense 2^n x 2^n copy of a matrix on `support`: explicit kron against
+    identities plus an index-permutation via axis reordering."""
+    d = 2 ** n
+    # build in support order then permute axes into register order
+    rest = [q for q in range(n) if q not in support]
+    full = np.kron(matrix, np.eye(2 ** len(rest)))
+    order = list(support) + rest
+    tensor = full.reshape((2,) * (2 * n))
+    inv = np.argsort(order)
+    tensor = tensor.transpose(tuple(inv) + tuple(np.array(inv) + n))
+    return tensor.reshape(d, d)
+
+
 def assemble_oracle(h: LocalHamiltonian) -> np.ndarray:
-    """Independent dense assembly: explicit kron against identities plus an
-    index-permutation via axis reordering, written from scratch."""
+    """Independent dense assembly, written from scratch."""
     n = h.num_qubits
     d = 2 ** n
     out = np.zeros((d, d), dtype=complex)
     for t in h.terms:
-        # build in support order then permute axes into register order
-        rest = [q for q in range(n) if q not in t.support]
-        full = np.kron(t.matrix, np.eye(2 ** len(rest)))
-        order = list(t.support) + rest
-        tensor = full.reshape((2,) * (2 * n))
-        inv = np.argsort(order)
-        tensor = tensor.transpose(tuple(inv) + tuple(np.array(inv) + n))
-        out += t.weight * tensor.reshape(d, d)
+        out += t.weight * _embed_oracle(t.matrix, t.support, n)
     return out
+
+
+def unitary_oracle(c: Circuit) -> np.ndarray:
+    """Independent full-register unitary G_L ... G_1, as dense products of
+    the embedded gates, written from scratch."""
+    n = c.n_input + c.n_ancilla
+    u = np.eye(2 ** n, dtype=complex)
+    for g in c.gates:
+        u = _embed_oracle(g.matrix, g.targets, n) @ u
+    return u
 
 
 @pytest.fixture

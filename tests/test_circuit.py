@@ -3,7 +3,7 @@ import pytest
 
 import qclock as q
 
-from conftest import random_circuit, random_pure_state, rng_for
+from conftest import random_circuit, random_pure_state, rng_for, unitary_oracle
 
 
 def bell_circuit(accept=1, epsilon=0.25):
@@ -73,7 +73,7 @@ def test_apply_gates_matches_unitary():
         n = c.n_input + c.n_ancilla
         v = random_pure_state(rng, n).amplitudes
         got = q.apply_gates(c, v)
-        want = q.circuit_unitary(c).entries @ v
+        want = unitary_oracle(c) @ v
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 

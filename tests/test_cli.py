@@ -176,6 +176,16 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_exit_code_term_count_past_file(tmp_path, capsys):
+    # a 30-qubit term announces 4^30 entry lines; the count is checked
+    # against the file before anything that size is allocated
+    bad = tmp_path / "bad.ham"
+    bad.write_text("qubits 30\nlayout 30 0 0\nterm in 1.0 30 "
+                   + " ".join(str(q) for q in range(30)) + "\n1 0\n")
+    assert main(["spectrum", str(bad)]) == 2
+    assert "entry lines" in capsys.readouterr().err
+
+
 def test_exit_code_missing_file(capsys):
     assert main(["compile", "/nonexistent/file.qc"]) == 2
     assert "cannot read" in capsys.readouterr().err

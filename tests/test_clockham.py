@@ -5,7 +5,7 @@ import qclock as q
 
 from conftest import (
     all_reject_circuit, assemble_oracle, random_circuit, random_pure_state,
-    rng_for,
+    rng_for, unitary_oracle,
 )
 
 
@@ -119,9 +119,9 @@ def test_history_transform_applies_prefixes():
     psi = random_pure_state(rng, n).amplitudes
     for t in range(c.length + 1):
         snap = psi.copy()
-        for g in c.gates[:t]:
-            snap = q.apply_gates(
-                q.Circuit(c.layout, (g,), c.accept_qubit), snap)
+        if t > 0:
+            snap = unitary_oracle(
+                q.Circuit(c.layout, c.gates[:t], c.accept_qubit)) @ snap
         clock = np.zeros(2 ** c.length)
         clock[q.ClockState(t, c.length).basis_index] = 1.0
         vec = np.kron(psi, clock)
@@ -149,8 +149,8 @@ def test_history_state_snapshot_form():
     snap = start
     for t in range(c.length + 1):
         if t > 0:
-            snap = q.apply_gates(q.Circuit(c.layout, (c.gates[t - 1],),
-                                           c.accept_qubit), snap)
+            snap = unitary_oracle(q.Circuit(c.layout, (c.gates[t - 1],),
+                                            c.accept_qubit)) @ snap
         clock = np.zeros(2 ** c.length)
         clock[q.ClockState(t, c.length).basis_index] = 1.0
         acc += np.kron(snap, clock)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qclock as q
-from qclock.qcore import _embed_matrix, fmt_float, permute_to_sorted
+from qclock.qcore import apply_local, fmt_float, permute_to_sorted
 
 from conftest import random_density_matrix, random_pure_state, rng_for
 
@@ -108,7 +108,7 @@ def test_embed_matrix_permutation():
     rng = rng_for("embed")
     n = 4
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    got = _embed_matrix(m, (1, 3), n)
+    got = apply_local(m, (1, 3), n, np.eye(16))
     # oracle: outer product basis walk
     oracle = np.zeros((16, 16), dtype=complex)
     for i in range(16):
@@ -192,3 +192,10 @@ def test_read_state_reports_line_numbers():
 def test_read_state_rejects_wrong_count():
     with pytest.raises(q.ParseError):
         q.read_state("qubits 2\n1 0\n0 0\n")  # 2 of 4 rows
+
+
+def test_read_rejects_negative_qubit_count():
+    with pytest.raises(q.ParseError):
+        q.read_state("qubits -1\n")
+    with pytest.raises(q.ParseError):
+        q.read_matrix("qubits -1\n")
