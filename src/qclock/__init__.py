@@ -43,8 +43,9 @@ from .amplify import (
 )
 from .thermal import (
     DecisionTemperature, EnergyBound, IsingBound, Temperature, ThermalReport,
-    cooling_temperature, decision_temperature, gibbs_decide, gibbs_state,
-    ground_projector_state, ising_decision_temperature, mean_energy_bound,
+    cooling_temperature, decision_temperature, gibbs_decide, gibbs_reports,
+    gibbs_state, ground_projector_state, ising_decision_temperature,
+    mean_energy_bound,
 )
 
 __version__ = "0.1.0"
@@ -62,7 +63,8 @@ __all__ = [
     "assemble_sparse", "check_promise", "circuit_unitary", "compile_circuit",
     "concatenate", "cooling_temperature", "decision_temperature",
     "exact_reject_prob", "expectation", "extract_witness", "gibbs_decide",
-    "gibbs_state", "ground_projector_state", "hamiltonian_energy",
+    "gibbs_reports", "gibbs_state", "ground_projector_state",
+    "hamiltonian_energy",
     "history_state", "history_transform", "ising_decision_temperature",
     "kl_divergence", "legal_clock_projector", "majority_threshold", "matvec",
     "mean_energy_bound", "min_eigenvalue", "named_stream",

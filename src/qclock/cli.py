@@ -22,8 +22,8 @@ from .spectral import min_eigenvalue, serialize_report
 from .witness import WitnessParams, prepare_witness
 from .amplify import AmplifyParams, simulate_majority_vote, tail_bounds
 from .thermal import (
-    Temperature, decision_temperature, gibbs_state, ground_projector_state,
-    mean_energy_bound,
+    Temperature, decision_temperature, gibbs_reports, gibbs_state,
+    ground_projector_state, mean_energy_bound,
 )
 
 _TOLERANCE_DEFAULTS = {
@@ -166,10 +166,11 @@ def cmd_gibbs(args, tol) -> str:
     if args.auto_qma is not None:
         eps, length, n = args.auto_qma
         dt = decision_temperature(float(eps), int(float(length)), int(float(n)))
-        temps = [dt.temperature.value]
+        temps = [dt.temperature]
         decide = dt.decision_energy
     elif args.temp is not None:
-        temps = _floats(args.temp)
+        # every T is checked (T <= 0 is rejected) before H is factored
+        temps = [Temperature(t) for t in _floats(args.temp)]
         if not temps:
             raise ValidationError("--temp needs at least one value")
     else:
@@ -182,9 +183,7 @@ def cmd_gibbs(args, tol) -> str:
             decide = float(args.decide)
 
     rows = ["T,mean_energy,bound_rhs,Z,lambda_min,e_max,verdict"]
-    for t in temps:
-        temp = Temperature(t)  # rejects T <= 0 with a clear message
-        state, report = gibbs_state(h, temp)
+    for temp, report in zip(temps, gibbs_reports(h, temps)):
         if decide is not None:
             rhs = mean_energy_bound(
                 report.e_min, decide, h.num_qubits, report.e_max, temp
@@ -193,7 +192,7 @@ def cmd_gibbs(args, tol) -> str:
         else:
             rhs, verdict = float("nan"), "-"
         rows.append(",".join([
-            fmt_float(t), fmt_float(report.mean_energy), fmt_float(rhs),
+            fmt_float(temp.value), fmt_float(report.mean_energy), fmt_float(rhs),
             fmt_float(report.partition_function), fmt_float(report.e_min),
             fmt_float(report.e_max), verdict,
         ]))

@@ -129,7 +129,7 @@ class LocalHamiltonian:
         object.__setattr__(self, "terms", tuple(self.terms))
         n = self.layout.total
         for term in self.terms:
-            if term.support[-1] >= n:
+            if term.support[0] < 0 or term.support[-1] >= n:
                 raise ValidationError(
                     f"term support {term.support} outside register of {n}"
                 )
@@ -325,7 +325,10 @@ def parse_hamiltonian(text: str) -> LocalHamiltonian:
         n, m, length = (int(p) for p in parts[1:])
     except ValueError:
         raise ParseError(f"bad layout in {lay_line!r}", line=lineno) from None
-    layout = RegisterLayout(n, m, length)
+    try:
+        layout = RegisterLayout(n, m, length)
+    except ValidationError as exc:
+        raise ParseError(str(exc), line=lineno) from None
     if layout.total != total:
         raise ParseError(
             f"layout totals {layout.total} but header says {total}", line=lineno
@@ -348,6 +351,9 @@ def parse_hamiltonian(text: str) -> LocalHamiltonian:
             raise ParseError(f"bad term header {content!r}", line=lineno) from None
         if len(support) != k:
             raise ParseError(f"term says {k} qubits but lists {len(support)}", line=lineno)
+        if min(support) < 0 or max(support) >= total:
+            raise ParseError(f"term support {support} outside register of {total}",
+                             line=lineno)
         i += 1
         vals = _parse_entry_lines(lines[i:], lineno, 4 ** k)
         i += 4 ** k
@@ -355,7 +361,4 @@ def parse_hamiltonian(text: str) -> LocalHamiltonian:
             terms.append(LocalTerm(part, weight, support, vals.reshape(2 ** k, 2 ** k)))
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno) from None
-    try:
-        return LocalHamiltonian(layout, tuple(terms))
-    except ValidationError as exc:
-        raise ParseError(str(exc), line=lines[0][0]) from None
+    return LocalHamiltonian(layout, tuple(terms))

@@ -110,8 +110,10 @@ def _dense_lowest(h: LocalHamiltonian, k: int):
     mat = assemble(h).entries
     dim = mat.shape[0]
     k = min(k, dim)
-    evals, evecs = scipy.linalg.eigh(mat, subset_by_index=(0, k - 1))
-    return evals, evecs
+    try:
+        return scipy.linalg.eigh(mat, subset_by_index=(0, k - 1))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dense eigensolver failed: {exc}") from None
 
 
 def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",

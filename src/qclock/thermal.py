@@ -8,6 +8,9 @@ ground energy so nothing overflows. The mean-energy bound
 holds whenever the ground energy is >= a (second term counts every state
 above the cutoff at its worst weight), and picking T small enough makes
 the Gibbs mean land on the witness side of a promise.
+
+Each entry point factors H once per call; gibbs_reports serves a whole
+temperature list from that one factorisation.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 from .qcore import DensityMatrix
 from .clockham import LocalHamiltonian
 from .spectral import assemble
@@ -27,9 +31,9 @@ _LN2 = math.log(2.0)
 
 __all__ = [
     "Temperature", "ThermalReport", "EnergyBound", "DecisionTemperature",
-    "IsingBound", "gibbs_state", "ground_projector_state", "mean_energy_bound",
-    "cooling_temperature", "decision_temperature", "ising_decision_temperature",
-    "gibbs_decide",
+    "IsingBound", "gibbs_state", "gibbs_reports", "ground_projector_state",
+    "mean_energy_bound", "cooling_temperature", "decision_temperature",
+    "ising_decision_temperature", "gibbs_decide",
 ]
 
 
@@ -76,35 +80,60 @@ def _as_temperature(t) -> Temperature:
     return t if isinstance(t, Temperature) else Temperature(float(t))
 
 
-def gibbs_state(h: LocalHamiltonian, t):
-    """Gibbs state of the assembled Hamiltonian; returns (state, report)."""
-    temp = _as_temperature(t)
+def _factor(h: LocalHamiltonian):
+    """Assemble H and diagonalise it: (ascending evals, evecs).
+
+    Uses LAPACK's MRRR driver (zheevr). It costs the same as the
+    divide-and-conquer driver (zheevd) behind np.linalg.eigh, which fails
+    to converge on some clock Hamiltonians at one BLAS thread.
+    """
     mat = assemble(h).entries
-    evals, evecs = np.linalg.eigh(mat)
+    try:
+        return scipy.linalg.eigh(mat, driver="evr")
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dense eigensolver failed: {exc}") from None
+
+
+def _thermal_report(evals: np.ndarray, temp: Temperature) -> ThermalReport:
     e_min = float(evals[0])
     shifted = np.exp(-(evals - e_min) / temp.value)
     z_shifted = shifted.sum()
     pops = shifted / z_shifted
-    rho = (evecs * pops) @ evecs.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    state = DensityMatrix(h.num_qubits, rho / np.trace(rho).real)
     # Z in absolute units; may overflow to inf for strongly negative spectra
     z = float(z_shifted * math.exp(-e_min / temp.value)) if abs(e_min / temp.value) < 700 \
         else float("inf") if -e_min / temp.value > 0 else 0.0
-    report = ThermalReport(
+    return ThermalReport(
         mean_energy=float(np.dot(pops, evals)),
         partition_function=z,
         populations=tuple(float(p) for p in pops),
         e_min=e_min,
         e_max=float(evals[-1]),
     )
+
+
+def gibbs_state(h: LocalHamiltonian, t):
+    """Gibbs state of the assembled Hamiltonian; returns (state, report)."""
+    temp = _as_temperature(t)
+    evals, evecs = _factor(h)
+    report = _thermal_report(evals, temp)
+    pops = np.array(report.populations)
+    rho = (evecs * pops) @ evecs.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    state = DensityMatrix(h.num_qubits, rho / np.trace(rho).real)
     return state, report
+
+
+def gibbs_reports(h: LocalHamiltonian, temps) -> tuple:
+    """Thermal reports at each temperature from one factorisation of H;
+    no density matrix is built. Entry i equals gibbs_state(h, temps[i])[1]."""
+    temps = [_as_temperature(t) for t in temps]
+    evals, _ = _factor(h)
+    return tuple(_thermal_report(evals, temp) for temp in temps)
 
 
 def ground_projector_state(h: LocalHamiltonian, degeneracy_tol: float = 1e-10):
     """T -> 0 limit: maximally mixed state over the ground space."""
-    mat = assemble(h).entries
-    evals, evecs = np.linalg.eigh(mat)
+    evals, evecs = _factor(h)
     sel = evals - evals[0] <= degeneracy_tol
     vecs = evecs[:, sel]
     rho = (vecs @ vecs.conj().T) / vecs.shape[1]
@@ -178,7 +207,7 @@ def gibbs_decide(h: LocalHamiltonian, t, decision_energy: float | None = None):
         t = t.temperature
     if decision_energy is None:
         raise ValidationError("gibbs_decide needs a decision energy")
-    state, report = gibbs_state(h, t)
+    report = gibbs_reports(h, [t])[0]
     verdict = "witness-exists" if report.mean_energy <= decision_energy else "no-witness"
     report = report._replace(cutoff=float(decision_energy))
     return verdict, report

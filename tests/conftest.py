@@ -6,11 +6,14 @@ internals (explicit kron loops, direct matrix exponentials, brute-force
 binomial sums) so agreement is evidence, not tautology.
 """
 
+import os
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qclock
 from qclock import (
     Circuit, DensityMatrix, Gate, LocalHamiltonian, LocalTerm, PureState,
     RegisterLayout,
@@ -132,6 +135,20 @@ def unitary_oracle(c: Circuit) -> np.ndarray:
     for g in c.gates:
         u = _embed_oracle(g.matrix, g.targets, n) @ u
     return u
+
+
+def checkout_env(**overrides) -> dict:
+    """Environment for a `python -m qclock.cli` child process.
+
+    Its PYTHONPATH starts with the directory of the qclock this process
+    imported, then any existing PYTHONPATH: a child that runs in another
+    directory, where a relative entry such as `src` no longer resolves,
+    still runs the same qclock.
+    """
+    package_root = str(Path(qclock.__file__).resolve().parent.parent)
+    path = os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
 @pytest.fixture

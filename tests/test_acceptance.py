@@ -5,19 +5,17 @@ asserts. Randomized families are seeded, so a passing run is stable.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
 import qclock as q
 
 from conftest import (
-    all_reject_circuit, assemble_oracle, random_circuit,
+    all_reject_circuit, assemble_oracle, checkout_env, random_circuit,
     random_density_matrix, random_povm_hamiltonian, random_pure_state,
     rng_for,
 )
@@ -232,9 +230,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     ham = tmp_path / "c.ham"
     # The child runs in tmp_path, where a relative PYTHONPATH such as `src`
     # no longer resolves; point it at the qclock this process imported.
-    package_root = str(Path(q.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+    env = checkout_env()
 
     def run(args):
         proc = subprocess.run(

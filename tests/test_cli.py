@@ -1,8 +1,14 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import qclock as q
 from qclock.cli import main
+
+from conftest import checkout_env
 
 
 CIRCUIT = """\
@@ -160,8 +166,27 @@ def test_gibbs_auto_qma_decides(ham_file, capsys):
 
 
 def test_gibbs_rejects_zero_temperature(ham_file, capsys):
-    assert main(["gibbs", ham_file, "--temp", "0"]) == 2
-    assert "must be > 0" in capsys.readouterr().err
+    for temps in ("0", "0.1,-1"):
+        assert main(["gibbs", ham_file, "--temp", temps]) == 2
+        cap = capsys.readouterr()
+        assert "must be > 0" in cap.err
+        assert cap.out == ""
+
+
+def test_gibbs_temperature_list_matches_single_runs(ham_file, capsys):
+    # one factorisation serves the whole list; each row is byte for byte
+    # the row of a run at that temperature alone
+    temps = ["0.003", "0.07", "1.5"]
+    assert main(["gibbs", ham_file, "--temp", ",".join(temps),
+                 "--decide", "0.2"]) == 0
+    header, *rows = capsys.readouterr().out.strip().split("\n")
+    singles = []
+    for t in temps:
+        assert main(["gibbs", ham_file, "--temp", t, "--decide", "0.2"]) == 0
+        single_header, row = capsys.readouterr().out.strip().split("\n")
+        assert single_header == header
+        singles.append(row)
+    assert rows == singles
 
 
 def test_gibbs_needs_some_temperature(ham_file, capsys):
@@ -186,6 +211,25 @@ def test_exit_code_term_count_past_file(tmp_path, capsys):
     assert "entry lines" in capsys.readouterr().err
 
 
+def test_exit_code_term_support_outside_register(tmp_path, capsys):
+    # the error names the term's own line, not the header's
+    entries = "1 0\n0 0\n0 0\n0 0\n"
+    for qubit in ("5", "-1"):
+        bad = tmp_path / "bad.ham"
+        bad.write_text("qubits 1\nlayout 1 0 0\n\n# comment\n"
+                       f"term in 1.0 1 {qubit}\n" + entries)
+        assert main(["spectrum", str(bad)]) == 2
+        assert (f"line 5: term support ({qubit},) outside register of 1"
+                in capsys.readouterr().err)
+
+
+def test_exit_code_negative_layout(tmp_path, capsys):
+    bad = tmp_path / "bad.ham"
+    bad.write_text("qubits -1\nlayout -1 0 0\n")
+    assert main(["spectrum", str(bad)]) == 2
+    assert "line 2: RegisterLayout: negative register size" in capsys.readouterr().err
+
+
 def test_exit_code_missing_file(capsys):
     assert main(["compile", "/nonexistent/file.qc"]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -203,6 +247,41 @@ def test_exit_code_convergence(ham_file, capsys):
     code = main(["spectrum", ham_file, "--tolerance", "residual=1e-30"])
     assert code == 4
     assert "convergence" in capsys.readouterr().err
+
+
+def test_exit_code_dense_eigensolver_failure(monkeypatch, circuit_file,
+                                             ham_file, capsys):
+    # a LAPACK failure in a dense factorisation is a typed convergence
+    # failure (exit 4), not a traceback
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", fail)
+    for argv in (["gibbs", ham_file, "--temp", "0.1"],
+                 ["gibbs", ham_file, "--auto-qma", "0.25", "1", "2"],
+                 ["spectrum", ham_file],
+                 ["witness", circuit_file]):
+        assert main(argv) == 4
+        assert "convergence failure: dense eigensolver failed" in capsys.readouterr().err
+
+
+def test_zheevd_nonconvergence_instance(tmp_path):
+    # On this 9-qubit clock Hamiltonian, np.linalg.eigh (LAPACK zheevd)
+    # raises "Eigenvalues did not converge" at one BLAS thread; at two
+    # threads it converges, so this test needs the one-thread setting.
+    circuit = tmp_path / "c.qc"
+    circuit.write_text(
+        "n_input 2\nn_ancilla 1\naccept 2\nepsilon 0.25\n"
+        "gate CNOT 1 0\ngate CZ 1 0\ngate Z 1\ngate S 1\ngate CZ 0 1\n"
+        "gate I 1\n")
+    ham = tmp_path / "c.ham"
+    env = checkout_env(OPENBLAS_NUM_THREADS="1")
+    for args in (["compile", str(circuit), "--out", str(ham)],
+                 ["gibbs", str(ham), "--temp", "0.01,0.02"],
+                 ["witness", str(circuit)]):
+        proc = subprocess.run([sys.executable, "-m", "qclock.cli", *args],
+                              capture_output=True, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_unknown_tolerance_name(ham_file, capsys):

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import qclock as q
+from qclock import thermal
 
 from conftest import (
     all_reject_circuit, assemble_oracle, random_circuit,
@@ -147,3 +148,31 @@ def test_gibbs_decide_explicit_energy_override():
     assert verdict == "witness-exists"
     with pytest.raises(q.ValidationError):
         q.gibbs_decide(h, q.Temperature(0.1))  # no energy anywhere
+
+
+def test_gibbs_reports_equal_gibbs_state_reports():
+    # one factorisation for every temperature, bit-for-bit the report that
+    # gibbs_state gives at each one alone
+    rng = rng_for("gibbs-reports")
+    c = random_circuit(rng, n_input=2, n_ancilla=1, length=3)
+    hams = (q.compile_circuit(c), random_povm_hamiltonian(rng, 4, 6))
+    for h in hams:
+        temps = (0.003, 0.05, q.Temperature(0.7), 20.0)
+        reports = q.gibbs_reports(h, temps)
+        assert len(reports) == len(temps)
+        for t, got in zip(temps, reports):
+            _, want = q.gibbs_state(h, t)
+            assert got == want
+            assert type(got) is q.ThermalReport
+
+
+def test_gibbs_reports_factor_once(monkeypatch):
+    calls = []
+    assemble = thermal.assemble
+    monkeypatch.setattr(thermal, "assemble", lambda h: calls.append(h) or assemble(h))
+    h = random_povm_hamiltonian(rng_for("gibbs-once"), 3, 4)
+    reports = q.gibbs_reports(h, [0.1, 0.2, 0.3])
+    assert len(reports) == 3 and len(calls) == 1
+    with pytest.raises(q.ValidationError):
+        q.gibbs_reports(h, [0.1, -1.0])
+    assert len(calls) == 1  # temperatures are checked before H is factored
