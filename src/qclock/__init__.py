@@ -4,7 +4,7 @@ circuits.
 Compiles small verifier circuits into 3-local clock Hamiltonians, checks
 their spectral promises numerically, extracts high-acceptance witnesses from
 low-energy states, and tabulates majority-vote and thermal decision bounds.
-Desk scale: dense linear algebra up to 12 qubits, sparse up to 16.
+Desk scale: dense linear algebra up to 12 qubits, matrix-free up to 16.
 """
 
 from .errors import (
@@ -24,12 +24,12 @@ from .circuit import (
 )
 from .clockham import (
     ClockState, LocalHamiltonian, LocalTerm, PARTS, compile_circuit,
-    history_state, history_transform, legal_clock_projector,
-    parse_hamiltonian, serialize_hamiltonian, term_expectation, unary_encode,
+    history_state, history_transform, parse_hamiltonian,
+    serialize_hamiltonian, term_expectation, unary_encode,
 )
 from .spectral import (
-    PromiseGap, SpectralReport, assemble, assemble_sparse, check_promise,
-    matvec, min_eigenvalue, propagation_spectrum, serialize_report,
+    PromiseGap, SpectralReport, assemble, check_promise, matvec,
+    min_eigenvalue, propagation_spectrum, serialize_report,
 )
 from .witness import (
     WitnessParams, WitnessResult, extract_witness, hamiltonian_energy,
@@ -60,13 +60,13 @@ __all__ = [
     "SpectralReport", "TailBound", "Temperature", "ThermalReport",
     "ValidationError", "WitnessParams", "WitnessResult",
     "accept_probability", "acceptance_operator", "apply_gates", "assemble",
-    "assemble_sparse", "check_promise", "circuit_unitary", "compile_circuit",
+    "check_promise", "circuit_unitary", "compile_circuit",
     "concatenate", "cooling_temperature", "decision_temperature",
     "exact_reject_prob", "expectation", "extract_witness", "gibbs_decide",
     "gibbs_reports", "gibbs_state", "ground_projector_state",
     "hamiltonian_energy",
     "history_state", "history_transform", "ising_decision_temperature",
-    "kl_divergence", "legal_clock_projector", "majority_threshold", "matvec",
+    "kl_divergence", "majority_threshold", "matvec",
     "mean_energy_bound", "min_eigenvalue", "named_stream",
     "naive_restriction_reject", "operator_norm", "optimal_witness",
     "parse_circuit", "parse_hamiltonian", "partial_trace",

@@ -2,7 +2,9 @@
 
 A circuit accepts an input state rho when measuring the accept qubit of
 U (rho (x) |0...0><0...0|) U^dag in the computational basis yields 1. Gates
-are applied in list order (gates[0] first).
+are applied in list order (gates[0] first). That probability is tr(M rho)
+for the acceptance operator M = A^dag Pi A, where A = U restricted to
+zeroed ancillas and Pi projects the accept qubit onto 1.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .qcore import (
     DensityMatrix, Operator, PureState, RegisterLayout, _content_lines,
-    _parse_entry_lines, apply_local, fmt_float, state_digest,
+    _eigh, _entry_lines, _parse_entry_lines, apply_local, expectation,
+    fmt_float, state_digest,
 )
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -154,13 +157,7 @@ def accept_probability(c: Circuit, rho_input: DensityMatrix) -> AcceptanceReport
         raise ValidationError(
             f"input state has {rho_input.num_qubits} qubits, circuit expects {c.n_input}"
         )
-    m = c.n_ancilla
-    anc = np.zeros((2 ** m, 2 ** m), dtype=complex)
-    anc[0, 0] = 1.0
-    rho = np.kron(rho_input.entries, anc)
-    u = circuit_unitary(c).entries
-    evolved = u @ rho @ u.conj().T
-    p = float(np.real(np.sum(np.diag(evolved).real * _accept_projector_diag(c))))
+    p = expectation(rho_input, acceptance_operator(c))
     p = min(max(p, 0.0), 1.0)
     return AcceptanceReport(p, state_digest(rho_input.entries))
 
@@ -179,7 +176,7 @@ def acceptance_operator(c: Circuit) -> Operator:
 def optimal_witness(c: Circuit, degeneracy_tol: float = 1e-10) -> OptimalWitness:
     """Input state maximizing acceptance; flagged when the maximum is degenerate."""
     m = acceptance_operator(c)
-    evals, evecs = np.linalg.eigh(m.entries)
+    evals, evecs = _eigh(m.entries)
     top = evals[-1]
     degenerate = len(evals) > 1 and (top - evals[-2]) <= degeneracy_tol
     vec = evecs[:, -1]
@@ -280,6 +277,5 @@ def serialize_circuit(c: Circuit) -> str:
     for g in c.gates:
         out.append("gate " + g.label + " " + " ".join(str(q) for q in g.targets))
         if g.label in EXPLICIT_LABELS:
-            for z in g.matrix.reshape(-1):
-                out.append(f"{fmt_float(z.real)} {fmt_float(z.imag)}")
+            out.extend(_entry_lines(g.matrix.reshape(-1)))
     return "\n".join(out) + "\n"

@@ -110,7 +110,7 @@ def _witness_source(spec: str, tol):
 
 def cmd_witness(args, tol) -> str:
     c = parse_circuit(_read(args.circuit))
-    params = WitnessParams(delta=args.delta, k=args.k, seed=args.seed)
+    params = WitnessParams(k=args.k, seed=args.seed)
     result = prepare_witness(
         c, params, _witness_source(args.source, tol),
         clock_penalty=args.clock_penalty, target_energy=args.target_energy,
@@ -233,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", default="groundstate",
                    help="groundstate or gibbs:<T>")
     p.add_argument("--k", type=int, default=1, help="verifier copies")
-    p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--clock-penalty", type=float, default=None)
     p.add_argument("--target-energy", type=float, default=None)
     p.set_defaults(func=cmd_witness)

@@ -32,8 +32,9 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .qcore import (
     DENSE_QUBIT_CAP, QUBIT_CAP, DensityMatrix, Operator, PureState,
-    RegisterLayout, _check_qubit_count, _content_lines, _parse_entry_lines,
-    apply_local, fmt_float, partial_trace, permute_to_sorted,
+    RegisterLayout, _check_qubit_count, _content_lines, _entry_lines,
+    _parse_entry_lines, apply_local, fmt_float, partial_trace,
+    permute_to_sorted,
 )
 from .circuit import Circuit
 
@@ -47,8 +48,7 @@ _LOWER = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
 __all__ = [
     "PARTS", "LocalTerm", "LocalHamiltonian", "ClockState", "unary_encode",
     "compile_circuit", "history_transform", "history_state",
-    "legal_clock_projector", "term_expectation", "parse_hamiltonian",
-    "serialize_hamiltonian",
+    "term_expectation", "parse_hamiltonian", "serialize_hamiltonian",
 ]
 
 
@@ -90,8 +90,8 @@ class LocalTerm:
     def __post_init__(self):
         if self.part not in PARTS:
             raise ValidationError(f"unknown part tag {self.part!r}")
-        if not self.weight > 0:
-            raise ValidationError(f"term weight {self.weight} must be positive")
+        if not (self.weight > 0 and np.isfinite(self.weight)):
+            raise ValidationError(f"term weight {self.weight} must be positive and finite")
         support = tuple(int(q) for q in self.support)
         object.__setattr__(self, "support", support)
         if not 1 <= len(support) <= 3:
@@ -104,6 +104,8 @@ class LocalTerm:
         k = len(support)
         if m.shape != (2 ** k, 2 ** k):
             raise ValidationError(f"matrix shape {m.shape} does not match support {support}")
+        if not np.isfinite(m).all():
+            raise ValidationError("term matrix has a non-finite entry")
         if np.abs(m - m.conj().T).max() > 1e-12:
             raise ValidationError("term matrix not Hermitian within 1e-12")
         evals = np.linalg.eigvalsh(m)
@@ -191,8 +193,8 @@ def compile_circuit(c: Circuit, clock_penalty: float | None = None,
     layout = RegisterLayout(c.n_input, c.n_ancilla, length)
     _check_qubit_count(layout.total, QUBIT_CAP, "compile_circuit")
     penalty = float(length ** 12) if clock_penalty is None else float(clock_penalty)
-    if not penalty > 0:
-        raise ValidationError(f"clock penalty {penalty} must be positive")
+    if not (penalty > 0 and np.isfinite(penalty)):
+        raise ValidationError(f"clock penalty {penalty} must be positive and finite")
     if accept_qubits is None:
         accept_qubits = (c.accept_qubit,)
     terms = []
@@ -274,15 +276,6 @@ def history_state(c: Circuit, input_state: PureState) -> PureState:
     return PureState(n + m + length, vec)
 
 
-def legal_clock_projector(length: int) -> Operator:
-    """Projector onto the L+1 unary clock strings, dense on L qubits."""
-    _check_qubit_count(length, DENSE_QUBIT_CAP, "legal_clock_projector")
-    diag = np.zeros(2 ** length)
-    for t in range(length + 1):
-        diag[ClockState(t, length).basis_index] = 1.0
-    return Operator(length, np.diag(diag).astype(complex), "hermitian")
-
-
 # --- term-list text format ---------------------------------------------------
 #
 #   qubits 5
@@ -300,8 +293,7 @@ def serialize_hamiltonian(h: LocalHamiltonian) -> str:
             f"term {t.part} {fmt_float(t.weight)} {len(t.support)} "
             + " ".join(str(q) for q in t.support)
         )
-        for z in t.matrix.reshape(-1):
-            out.append(f"{fmt_float(z.real)} {fmt_float(z.imag)}")
+        out.extend(_entry_lines(t.matrix.reshape(-1)))
     return "\n".join(out) + "\n"
 
 

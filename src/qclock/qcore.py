@@ -17,8 +17,12 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
-from .errors import ConsistencyError, ParseError, ResourceLimitError, ValidationError
+from .errors import (
+    ConsistencyError, ConvergenceError, ParseError, ResourceLimitError,
+    ValidationError,
+)
 
 QUBIT_CAP = 16          # state vectors
 DENSE_QUBIT_CAP = 12    # dense matrices
@@ -222,6 +226,21 @@ def expectation(rho: DensityMatrix, op: Operator) -> float:
 def operator_norm(op: Operator) -> float:
     """Largest singular value."""
     return float(np.linalg.svd(op.entries, compute_uv=False)[0])
+
+
+def _eigh(mat: np.ndarray, k: int | None = None):
+    """Ascending eigenpairs of a dense Hermitian matrix: all, or the lowest k.
+
+    Every dense factorisation goes through LAPACK's MRRR driver (zheevr).
+    It costs the same as the divide-and-conquer driver (zheevd) behind
+    np.linalg.eigh, which fails to converge on some clock Hamiltonians at
+    one BLAS thread. A LAPACK failure is a ConvergenceError.
+    """
+    subset = None if k is None else (0, min(k, mat.shape[0]) - 1)
+    try:
+        return scipy.linalg.eigh(mat, driver="evr", subset_by_index=subset)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dense eigensolver failed: {exc}") from None
 
 
 def _scatter_table(positions, n: int) -> np.ndarray:

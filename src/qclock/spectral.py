@@ -1,10 +1,9 @@
 """Assembly and diagonalization of local Hamiltonians.
 
 One scatter helper (qcore._scatter_entries) maps each term's nonzero
-entries to their global (row, col) indices; it feeds both the dense matrix,
-accumulated in term order, and the sparse (CSR) one. The matvec used by the
-iterative eigensolver stays matrix-free. Dense handles up to 12 qubits,
-sparse up to 16.
+entries to their global (row, col) indices; the dense matrix accumulates
+them in term order. The matvec used by the iterative eigensolver stays
+matrix-free. Dense handles up to 12 qubits, matrix-free up to 16.
 """
 
 from __future__ import annotations
@@ -13,19 +12,17 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
 from .qcore import (
-    DENSE_QUBIT_CAP, QUBIT_CAP, Operator, PureState, _scatter_entries,
-    apply_local, fmt_float, named_stream,
+    DENSE_QUBIT_CAP, QUBIT_CAP, Operator, PureState, _eigh,
+    _scatter_entries, apply_local, fmt_float, named_stream,
 )
 from .clockham import LocalHamiltonian
 
 __all__ = [
-    "PromiseGap", "SpectralReport", "assemble", "assemble_sparse", "matvec",
+    "PromiseGap", "SpectralReport", "assemble", "matvec",
     "min_eigenvalue", "propagation_spectrum", "check_promise",
     "serialize_report",
 ]
@@ -71,29 +68,6 @@ def assemble(h: LocalHamiltonian) -> Operator:
     return Operator(n, total, "hermitian")
 
 
-def assemble_sparse(h: LocalHamiltonian) -> scipy.sparse.csr_matrix:
-    """Sparse (CSR) assembly of the weighted term sum."""
-    n = h.num_qubits
-    if n > QUBIT_CAP:
-        raise ResourceLimitError(
-            f"sparse assembly of {n} qubits exceeds the cap of {QUBIT_CAP}"
-        )
-    dim = 2 ** n
-    rows, cols, vals = [], [], []
-    for term in h.terms:
-        r, c, v = _scatter_entries(term.matrix, term.support, n)
-        rows.append(r)
-        cols.append(c)
-        vals.append(term.weight * v)
-    if not rows:
-        return scipy.sparse.csr_matrix((dim, dim), dtype=complex)
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
-    return mat.tocsr()
-
-
 def matvec(h: LocalHamiltonian, vec: np.ndarray) -> np.ndarray:
     """H @ vec straight off the term list; no matrix is materialized."""
     n = h.num_qubits
@@ -104,16 +78,6 @@ def matvec(h: LocalHamiltonian, vec: np.ndarray) -> np.ndarray:
     for term in h.terms:
         out += term.weight * apply_local(term.matrix, term.support, n, vec)
     return out
-
-
-def _dense_lowest(h: LocalHamiltonian, k: int):
-    mat = assemble(h).entries
-    dim = mat.shape[0]
-    k = min(k, dim)
-    try:
-        return scipy.linalg.eigh(mat, subset_by_index=(0, k - 1))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"dense eigensolver failed: {exc}") from None
 
 
 def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
@@ -134,14 +98,14 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
     if method == "auto":
         method = "dense" if n <= DENSE_QUBIT_CAP else "iterative"
     if method == "dense":
-        evals, evecs = _dense_lowest(h, k)
+        evals, evecs = _eigh(assemble(h).entries, k)
     elif method == "iterative":
         if n > QUBIT_CAP:
             raise ResourceLimitError(f"{n} qubits exceeds the sparse cap of {QUBIT_CAP}")
         kk = min(k, dim - 2)
         if kk < 1 or dim < 8:
             # ARPACK needs k < dim-1 and room for the Krylov basis
-            evals, evecs = _dense_lowest(h, k)
+            evals, evecs = _eigh(assemble(h).entries, k)
             method = "dense"
         else:
             # Lanczos on sigma*I - H with which="LA": the ground state of H

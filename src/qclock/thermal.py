@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
-from .errors import ConvergenceError, ValidationError
-from .qcore import DensityMatrix
+from .errors import ValidationError
+from .qcore import DensityMatrix, _eigh
 from .clockham import LocalHamiltonian
 from .spectral import assemble
 
@@ -56,7 +55,6 @@ class ThermalReport(NamedTuple):
     e_min: float
     e_max: float
     cutoff: float | None = None
-    bound_rhs: float | None = None
 
 
 class EnergyBound(NamedTuple):
@@ -80,20 +78,6 @@ def _as_temperature(t) -> Temperature:
     return t if isinstance(t, Temperature) else Temperature(float(t))
 
 
-def _factor(h: LocalHamiltonian):
-    """Assemble H and diagonalise it: (ascending evals, evecs).
-
-    Uses LAPACK's MRRR driver (zheevr). It costs the same as the
-    divide-and-conquer driver (zheevd) behind np.linalg.eigh, which fails
-    to converge on some clock Hamiltonians at one BLAS thread.
-    """
-    mat = assemble(h).entries
-    try:
-        return scipy.linalg.eigh(mat, driver="evr")
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"dense eigensolver failed: {exc}") from None
-
-
 def _thermal_report(evals: np.ndarray, temp: Temperature) -> ThermalReport:
     e_min = float(evals[0])
     shifted = np.exp(-(evals - e_min) / temp.value)
@@ -114,7 +98,7 @@ def _thermal_report(evals: np.ndarray, temp: Temperature) -> ThermalReport:
 def gibbs_state(h: LocalHamiltonian, t):
     """Gibbs state of the assembled Hamiltonian; returns (state, report)."""
     temp = _as_temperature(t)
-    evals, evecs = _factor(h)
+    evals, evecs = _eigh(assemble(h).entries)
     report = _thermal_report(evals, temp)
     pops = np.array(report.populations)
     rho = (evecs * pops) @ evecs.conj().T
@@ -127,13 +111,13 @@ def gibbs_reports(h: LocalHamiltonian, temps) -> tuple:
     """Thermal reports at each temperature from one factorisation of H;
     no density matrix is built. Entry i equals gibbs_state(h, temps[i])[1]."""
     temps = [_as_temperature(t) for t in temps]
-    evals, _ = _factor(h)
+    evals, _ = _eigh(assemble(h).entries)
     return tuple(_thermal_report(evals, temp) for temp in temps)
 
 
 def ground_projector_state(h: LocalHamiltonian, degeneracy_tol: float = 1e-10):
     """T -> 0 limit: maximally mixed state over the ground space."""
-    evals, evecs = _factor(h)
+    evals, evecs = _eigh(assemble(h).entries)
     sel = evals - evals[0] <= degeneracy_tol
     vecs = evecs[:, sel]
     rho = (vecs @ vecs.conj().T) / vecs.shape[1]

@@ -33,15 +33,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WitnessParams:
-    """Pipeline parameters: target gap delta, copy count k, RNG seed."""
+    """Pipeline parameters: copy count k, RNG seed."""
 
-    delta: float
     k: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValidationError(f"delta {self.delta} outside (0, 1)")
         if self.k < 1:
             raise ValidationError(f"copy count k={self.k} must be >= 1")
 
@@ -62,10 +59,25 @@ def hamiltonian_energy(rho: DensityMatrix, h: LocalHamiltonian) -> float:
     return float(sum(t.weight * term_expectation(rho, t) for t in h.terms))
 
 
-def _pull_back(rho: DensityMatrix, c: Circuit) -> DensityMatrix:
-    """W^dag rho W for the history transform W of c."""
-    w = history_transform(c).entries
-    return DensityMatrix(rho.num_qubits, w.conj().T @ rho.entries @ w)
+def _witness_tail(rho: DensityMatrix, c: Circuit, meta: Circuit,
+                  pick: int | None = None):
+    """Read an input witness of c out of a state of meta's register.
+
+    meta is c or its k-copy replica. rho is pulled back through meta's
+    history transform W (W^dag rho W) and traced onto the k input blocks;
+    the witness is their uniform mixture, or block `pick` alone. Returns
+    (witness, acceptance of c on it).
+    """
+    w = history_transform(meta).entries
+    pulled = DensityMatrix(rho.num_qubits, w.conj().T @ rho.entries @ w)
+    n = c.n_input
+    if pick is not None:
+        sigma = partial_trace(pulled, range(pick * n, (pick + 1) * n))
+    else:
+        k = meta.n_input // n
+        blocks = [partial_trace(pulled, range(i * n, (i + 1) * n)) for i in range(k)]
+        sigma = DensityMatrix(n, sum(b.entries for b in blocks) / k)
+    return sigma, accept_probability(c, sigma).accept_probability
 
 
 def extract_witness(rho: DensityMatrix, c: Circuit,
@@ -85,8 +97,7 @@ def extract_witness(rho: DensityMatrix, c: Circuit,
         ham = compile_circuit(c)
     elif ham.num_qubits != expected:
         raise ValidationError("Hamiltonian register does not match the circuit")
-    sigma = partial_trace(_pull_back(rho, c), range(c.n_input))
-    acc = accept_probability(c, sigma).accept_probability
+    sigma, acc = _witness_tail(rho, c, c, pick=0)
     energy = hamiltonian_energy(rho, ham)
     return WitnessResult(sigma, acc, energy, (), 1, 0)
 
@@ -199,19 +210,10 @@ def prepare_witness(c: Circuit, params: WitnessParams, source: LowEnergySource,
             f"low-energy source achieved {energy!r}, above target {target!r}"
         )
 
-    pulled = _pull_back(rho, meta)
-    n = c.n_input
-    blocks = [
-        partial_trace(pulled, range(copy * n, (copy + 1) * n))
-        for copy in range(params.k)
-    ]
+    pick = None
     if sample_register:
         pick = int(named_stream(params.seed, "register-choice").integers(params.k))
-        sigma = blocks[pick]
-    else:
-        mix = sum(b.entries for b in blocks) / params.k
-        sigma = DensityMatrix(n, mix)
-    acc = accept_probability(c, sigma).accept_probability
+    sigma, acc = _witness_tail(rho, c, meta, pick)
     return WitnessResult(sigma, acc, energy, tuple(flags), params.k, params.seed)
 
 

@@ -137,6 +137,20 @@ def unitary_oracle(c: Circuit) -> np.ndarray:
     return u
 
 
+def accept_oracle(c: Circuit, rho_input: np.ndarray) -> float:
+    """Accept probability of a direct run, written from scratch: the input
+    state with every ancilla at |0>, conjugated by unitary_oracle(c), summed
+    over the diagonal entries whose accept bit is 1."""
+    width = c.n_input + c.n_ancilla
+    ancillas = np.zeros((2 ** c.n_ancilla,) * 2)
+    ancillas[0, 0] = 1.0
+    u = unitary_oracle(c)
+    evolved = u @ np.kron(rho_input, ancillas) @ u.conj().T
+    shift = width - 1 - c.accept_qubit
+    return float(sum(evolved[i, i].real for i in range(2 ** width)
+                     if (i >> shift) & 1))
+
+
 def checkout_env(**overrides) -> dict:
     """Environment for a `python -m qclock.cli` child process.
 

@@ -199,6 +199,12 @@ def test_exit_code_parse_error(tmp_path, capsys):
     bad.write_text("n_input 1\naccept 0\ngate NOPE 0\n")
     assert main(["compile", str(bad)]) == 2
     assert "line" in capsys.readouterr().err
+    # a non-finite clock penalty is rejected before any term carries it
+    two_step = tmp_path / "two.qc"
+    two_step.write_text(CIRCUIT + "gate H 0\n")
+    for cmd in ("compile", "witness"):
+        assert main([cmd, str(two_step), "--clock-penalty", "inf"]) == 2
+        assert "clock penalty inf must be positive and finite" in capsys.readouterr().err
 
 
 def test_exit_code_term_count_past_file(tmp_path, capsys):
@@ -221,6 +227,16 @@ def test_exit_code_term_support_outside_register(tmp_path, capsys):
         assert main(["spectrum", str(bad)]) == 2
         assert (f"line 5: term support ({qubit},) outside register of 1"
                 in capsys.readouterr().err)
+    # so does a non-finite weight or matrix entry, before any solver sees it
+    for term, want in (("term in inf 1 0\n" + entries,
+                        "line 5: term weight inf must be positive and finite"),
+                       ("term in 1.0 1 0\nnan 0\n0 0\n0 0\n0 0\n",
+                        "line 5: term matrix has a non-finite entry")):
+        bad = tmp_path / "bad.ham"
+        bad.write_text("qubits 1\nlayout 1 0 0\n\n# comment\n" + term)
+        for argv in (["spectrum", str(bad)], ["gibbs", str(bad), "--temp", "1"]):
+            assert main(argv) == 2
+            assert want in capsys.readouterr().err
 
 
 def test_exit_code_negative_layout(tmp_path, capsys):
@@ -263,6 +279,8 @@ def test_exit_code_dense_eigensolver_failure(monkeypatch, circuit_file,
                  ["witness", circuit_file]):
         assert main(argv) == 4
         assert "convergence failure: dense eigensolver failed" in capsys.readouterr().err
+    with pytest.raises(q.ConvergenceError, match="dense eigensolver failed"):
+        q.optimal_witness(q.parse_circuit(CIRCUIT))
 
 
 def test_zheevd_nonconvergence_instance(tmp_path):

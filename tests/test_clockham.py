@@ -176,16 +176,6 @@ def test_history_energy_identity_random_family():
         assert abs(energy - (1 - p) / (c.length + 1)) < 1e-9
 
 
-def test_legal_clock_projector():
-    p = q.legal_clock_projector(3).entries
-    assert p.shape == (8, 8)
-    diag = np.diag(p)
-    legal = {q.ClockState(t, 3).basis_index for t in range(4)}
-    for idx in range(8):
-        assert diag[idx] == (1.0 if idx in legal else 0.0)
-    assert np.count_nonzero(p - np.diag(diag)) == 0
-
-
 def test_clock_part_kills_legal_subspace():
     # clock terms act only on illegal strings
     c = small_circuit()

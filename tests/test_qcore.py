@@ -1,3 +1,6 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -199,3 +202,11 @@ def test_read_rejects_negative_qubit_count():
         q.read_state("qubits -1\n")
     with pytest.raises(q.ParseError):
         q.read_matrix("qubits -1\n")
+
+
+def test_every_exported_name_resolves():
+    modules = [q] + [importlib.import_module(f"qclock.{info.name}")
+                     for info in pkgutil.iter_modules(q.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"

@@ -25,19 +25,6 @@ def test_assemble_bitwise_matches_oracle():
         assert np.array_equal(q.assemble(h).entries, assemble_oracle(h))
 
 
-def test_assemble_sparse_matches_dense():
-    rng = rng_for("sparse")
-    for _ in range(4):
-        h = random_povm_hamiltonian(rng, 5, 8)
-        dense = assemble_oracle(h)
-        sp = q.assemble_sparse(h).toarray()
-        np.testing.assert_allclose(sp, dense, atol=1e-12)
-    c = random_circuit(rng, n_input=2, n_ancilla=1, length=3)
-    hc = q.compile_circuit(c, clock_penalty=32.0)
-    np.testing.assert_allclose(
-        q.assemble_sparse(hc).toarray(), assemble_oracle(hc), atol=1e-10)
-
-
 def test_matvec_matches_dense():
     rng = rng_for("matvec")
     h = random_povm_hamiltonian(rng, 5, 7)

@@ -127,7 +127,7 @@ def test_prepare_witness_ground_source():
     rng = rng_for("prep")
     c = random_circuit(rng, n_input=2, n_ancilla=0, length=2)
     res = q.prepare_witness(
-        c, q.WitnessParams(delta=0.5, k=1, seed=0),
+        c, q.WitnessParams(k=1, seed=0),
         lambda h, target: q.ground_projector_state(h))
     assert res.accept_probability > 0.995
     assert res.k == 1
@@ -138,7 +138,7 @@ def test_prepare_witness_multi_copy_mixture():
     rng = rng_for("prep-k")
     c = random_circuit(rng, n_input=1, n_ancilla=0, length=1)
     res = q.prepare_witness(
-        c, q.WitnessParams(delta=0.5, k=2, seed=0),
+        c, q.WitnessParams(k=2, seed=0),
         lambda h, target: q.ground_projector_state(h))
     assert res.witness.num_qubits == 1
     assert res.accept_probability > 0.99
@@ -147,7 +147,7 @@ def test_prepare_witness_multi_copy_mixture():
 def test_prepare_witness_flags_no_witness_regime():
     c = all_reject_circuit(rng_for("prep-reject"), 1, 1)
     res = q.prepare_witness(
-        c, q.WitnessParams(delta=0.5, k=1, seed=0),
+        c, q.WitnessParams(k=1, seed=0),
         lambda h, target: q.ground_projector_state(h))
     assert "no-witness-regime" in res.flags
     # max acceptance is 0, so whatever came out accepts with probability ~0
@@ -160,7 +160,7 @@ def test_prepare_witness_enforces_energy_target():
     maximally_mixed = lambda h, target: q.DensityMatrix(
         h.num_qubits, np.eye(2 ** h.num_qubits) / 2 ** h.num_qubits)
     with pytest.raises(q.ConsistencyError):
-        q.prepare_witness(c, q.WitnessParams(delta=0.5, k=1, seed=0),
+        q.prepare_witness(c, q.WitnessParams(k=1, seed=0),
                           maximally_mixed)
 
 
@@ -168,9 +168,9 @@ def test_prepare_witness_sampled_register_deterministic():
     rng = rng_for("prep-sample")
     c = random_circuit(rng, n_input=1, n_ancilla=0, length=1)
     src = lambda h, target: q.ground_projector_state(h)
-    r1 = q.prepare_witness(c, q.WitnessParams(delta=0.5, k=2, seed=5), src,
+    r1 = q.prepare_witness(c, q.WitnessParams(k=2, seed=5), src,
                            sample_register=True)
-    r2 = q.prepare_witness(c, q.WitnessParams(delta=0.5, k=2, seed=5), src,
+    r2 = q.prepare_witness(c, q.WitnessParams(k=2, seed=5), src,
                            sample_register=True)
     np.testing.assert_array_equal(r1.witness.entries, r2.witness.entries)
 
@@ -188,6 +188,4 @@ def test_sufficient_copies_frozen_values():
 
 def test_witness_params_validation():
     with pytest.raises(q.ValidationError):
-        q.WitnessParams(delta=0.0, k=1, seed=0)
-    with pytest.raises(q.ValidationError):
-        q.WitnessParams(delta=0.5, k=0, seed=0)
+        q.WitnessParams(k=0, seed=0)
