@@ -24,7 +24,7 @@ from .circuit import (
 )
 from .clockham import (
     ClockState, LocalHamiltonian, LocalTerm, PARTS, compile_circuit,
-    history_state, history_transform, parse_hamiltonian,
+    history_pull_back, history_state, parse_hamiltonian,
     serialize_hamiltonian, term_expectation, unary_encode,
 )
 from .spectral import (
@@ -65,7 +65,7 @@ __all__ = [
     "exact_reject_prob", "expectation", "extract_witness", "gibbs_decide",
     "gibbs_reports", "gibbs_state", "ground_projector_state",
     "hamiltonian_energy",
-    "history_state", "history_transform", "ising_decision_temperature",
+    "history_pull_back", "history_state", "ising_decision_temperature",
     "kl_divergence", "majority_threshold", "matvec",
     "mean_energy_bound", "min_eigenvalue", "named_stream",
     "naive_restriction_reject", "operator_norm", "optimal_witness",

@@ -9,6 +9,7 @@ flags and seed produce byte-identical output. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import (
@@ -42,11 +43,25 @@ def _parse_tolerances(pairs):
             raise ValidationError(
                 f"unknown tolerance {name!r}; known: {', '.join(sorted(tol))}"
             )
-        try:
-            tol[name] = float(val)
-        except ValueError:
-            raise ValidationError(f"bad tolerance value {val!r}") from None
+        tol[name] = _finite(val, "tolerance value")
     return tol
+
+
+def _finite(text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValidationError(f"bad {what} {text!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} {text} must be finite")
+    return value
+
+
+def _whole(text: str, what: str) -> int:
+    value = _finite(text, what)
+    if not value.is_integer():
+        raise ValidationError(f"{what} {text} must be a whole number")
+    return int(value)
 
 
 def _read(path: str) -> str:
@@ -165,7 +180,9 @@ def cmd_gibbs(args, tol) -> str:
     decide = None
     if args.auto_qma is not None:
         eps, length, n = args.auto_qma
-        dt = decision_temperature(float(eps), int(float(length)), int(float(n)))
+        dt = decision_temperature(_finite(eps, "--auto-qma EPS"),
+                                  _whole(length, "--auto-qma L"),
+                                  _whole(n, "--auto-qma N"))
         temps = [dt.temperature]
         decide = dt.decision_energy
     elif args.temp is not None:
@@ -180,7 +197,7 @@ def cmd_gibbs(args, tol) -> str:
             if decide is None:
                 raise ValidationError("--decide without value needs --auto-qma")
         else:
-            decide = float(args.decide)
+            decide = _finite(args.decide, "--decide energy")
 
     rows = ["T,mean_energy,bound_rhs,Z,lambda_min,e_max,verdict"]
     for temp, report in zip(temps, gibbs_reports(h, temps)):

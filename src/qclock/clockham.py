@@ -33,8 +33,7 @@ from .errors import ParseError, ValidationError
 from .qcore import (
     DENSE_QUBIT_CAP, QUBIT_CAP, DensityMatrix, Operator, PureState,
     RegisterLayout, _check_qubit_count, _content_lines, _entry_lines,
-    _parse_entry_lines, apply_local, fmt_float, partial_trace,
-    permute_to_sorted,
+    _parse_entry_lines, apply_local, fmt_float, permute_to_sorted,
 )
 from .circuit import Circuit
 
@@ -47,7 +46,7 @@ _LOWER = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
 
 __all__ = [
     "PARTS", "LocalTerm", "LocalHamiltonian", "ClockState", "unary_encode",
-    "compile_circuit", "history_transform", "history_state",
+    "compile_circuit", "history_pull_back", "history_state",
     "term_expectation", "parse_hamiltonian", "serialize_hamiltonian",
 ]
 
@@ -158,10 +157,10 @@ class LocalHamiltonian:
 
 
 def term_expectation(rho: DensityMatrix, term: LocalTerm) -> float:
-    """tr(rho M_hat) for one embedded term matrix (weight not applied)."""
-    sigma = partial_trace(rho, term.support)
-    val = np.sum(sigma.entries * term.matrix.T)
-    return float(val.real)
+    """tr(rho M_hat) for one embedded term matrix (weight not applied),
+    summed as <f|M_hat f> over the columns f of rho's factor."""
+    f = rho.factor
+    return float(np.vdot(f, apply_local(term.matrix, term.support, rho.num_qubits, f)).real)
 
 
 def _time_projector(layout: RegisterLayout, t: int):
@@ -231,27 +230,40 @@ def compile_circuit(c: Circuit, clock_penalty: float | None = None,
     return LocalHamiltonian(layout, tuple(terms))
 
 
-def history_transform(c: Circuit) -> Operator:
-    """Unitary applying the first t gates when the clock reads t.
+def history_pull_back(c: Circuit, vecs: np.ndarray) -> np.ndarray:
+    """W^dag applied to a vector or a 2^N x r block of columns on the
+    compiled register of c (N = inputs + ancillas + L).
 
-    Built as the ordered product of clock-controlled gates,
-    W_t = U_t (x) |1>_t<1| + I (x) |0>_t<0|, with W_1 applied first, each
-    applied to the columns of the running product by apply_local.
-    Diagonal in the clock basis, so legal clock states stay legal.
+    W applies the first t gates when the clock reads t: the ordered product
+    of clock-controlled gates W_t = U_t (x) |1>_t<1| + I (x) |0>_t<0|, with
+    W_1 applied first. W^dag applies the inverse controlled gates for
+    t = L down to 1, each through apply_local, at O(L r 2^N) cost. W is
+    diagonal in the clock basis, so legal clock states stay legal.
     """
     layout = RegisterLayout(c.n_input, c.n_ancilla, c.length)
     n = layout.total
-    _check_qubit_count(n, DENSE_QUBIT_CAP, "history_transform")
-    w = np.eye(2 ** n, dtype=complex)
-    for t in range(1, c.length + 1):
+    if vecs.shape[0] != 2 ** n:
+        raise ValidationError(f"{vecs.shape[0]} rows do not match the {n}-qubit register")
+    for t in range(c.length, 0, -1):
         gate = c.gates[t - 1]
         k = len(gate.targets)
-        controlled = np.zeros((2 ** (k + 1),) * 2, dtype=complex)
-        controlled[: 2 ** k, : 2 ** k] = np.eye(2 ** k)   # clock bit 0 first factor
-        controlled[2 ** k:, 2 ** k:] = gate.matrix
+        controlled = np.eye(2 ** (k + 1), dtype=complex)   # clock bit first factor
+        controlled[2 ** k:, 2 ** k:] = gate.matrix.conj().T
         support = [layout.clock_qubit(t)] + list(gate.targets)
-        w = apply_local(controlled, support, n, w)
-    return Operator(n, w, "unitary")
+        vecs = apply_local(controlled, support, n, vecs)
+    return vecs
+
+
+def history_transform(c: Circuit) -> Operator:
+    """Dense W, as the adjoint of history_pull_back on the identity.
+
+    Nothing in qclock calls it: the witness path pulls states back as
+    vectors. It stays because bench/spans.py instruments it by name.
+    """
+    n = c.n_input + c.n_ancilla + c.length
+    _check_qubit_count(n, DENSE_QUBIT_CAP, "history_transform")
+    w_dag = history_pull_back(c, np.eye(2 ** n, dtype=complex))
+    return Operator(n, w_dag.conj().T, "unitary")
 
 
 def history_state(c: Circuit, input_state: PureState) -> PureState:

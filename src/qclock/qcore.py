@@ -3,7 +3,8 @@
 Convention used everywhere: qubit 0 is the leftmost tensor factor, i.e. the
 most significant bit of a computational basis index. A register of N qubits
 is stored as a length 2**N vector (states) or a 2**N x 2**N matrix
-(operators, density matrices), complex128, row-major.
+(operators, density matrices), complex128, row-major; a density matrix
+may instead be held as a 2**N x r square-root factor.
 
 Vectors are allowed up to QUBIT_CAP qubits, dense matrices up to
 DENSE_QUBIT_CAP; past that the constructors raise ResourceLimitError rather
@@ -12,6 +13,7 @@ than letting an allocation swap the machine.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import zlib
 from dataclasses import dataclass, field
@@ -75,8 +77,7 @@ class PureState:
             raise ValidationError(f"PureState: norm {norm!r} is not 1 within 1e-12")
 
     def density(self) -> "DensityMatrix":
-        v = self.amplitudes
-        return DensityMatrix(self.num_qubits, np.outer(v, v.conj()))
+        return DensityMatrix(self.num_qubits, factor=self.amplitudes[:, None])
 
     @staticmethod
     def computational(num_qubits: int, index: int) -> "PureState":
@@ -88,20 +89,49 @@ class PureState:
         return PureState(num_qubits, v)
 
 
-@dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, PSD (within 1e-10) matrix on num_qubits qubits."""
+    """Hermitian, unit-trace, PSD matrix rho on num_qubits qubits.
 
-    num_qubits: int
-    entries: np.ndarray = field(repr=False)
+    Built from entries, DensityMatrix(n, rho) checks rho itself: finite,
+    Hermitian and unit trace within 1e-12, PSD within 1e-10. Built from a
+    square-root factor, DensityMatrix(n, factor=F) with 2^n rows and
+    rho = F F^dag, it checks F: finite, with tr(rho) = ||F||_F^2 = 1 within
+    1e-12; rho is Hermitian and PSD by construction, so no eigensolver
+    runs. The form a state was not built from is derived once, on first
+    use: `entries` as F F^dag, `factor` from an eigendecomposition of the
+    entries. Energies, expectations and pull-backs read `factor`, so a
+    state built from one never forms a 2^n x 2^n matrix.
+    """
+
+    def __init__(self, num_qubits: int, entries=None, *, factor=None):
+        if (entries is None) == (factor is None):
+            raise ValidationError("DensityMatrix: give exactly one of entries and factor")
+        given = {"entries": entries} if factor is None else {"factor": factor}
+        self.__dict__.update(num_qubits=num_qubits, **given)
+        self.__post_init__()
 
     def __post_init__(self):
+        # named like the dataclass hook of the other records: the checks run
+        # once per construction, whichever form the state was built from
         _check_qubit_count(self.num_qubits, DENSE_QUBIT_CAP, "DensityMatrix")
-        m = _as_complex(self.entries)
-        object.__setattr__(self, "entries", m)
         dim = 2 ** self.num_qubits
+        if "factor" in self.__dict__:
+            f = self.__dict__["factor"] = _as_complex(self.factor)
+            if f.ndim != 2 or f.shape[0] != dim or f.shape[1] < 1:
+                raise ValidationError(
+                    f"DensityMatrix: expected a factor with {dim} rows, got shape {f.shape}")
+            if not np.isfinite(f).all():
+                raise ValidationError("DensityMatrix: factor has a non-finite entry")
+            tr = np.vdot(f, f).real
+            if abs(tr - 1.0) > 1e-12:
+                raise ValidationError(
+                    f"DensityMatrix: trace ||F||^2 = {tr!r} is not 1 within 1e-12")
+            return
+        m = self.__dict__["entries"] = _as_complex(self.entries)
         if m.shape != (dim, dim):
             raise ValidationError(f"DensityMatrix: expected shape {(dim, dim)}, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValidationError("DensityMatrix: non-finite entry")
         if np.abs(m - m.conj().T).max() > ATOL:
             raise ValidationError("DensityMatrix: not Hermitian within 1e-12")
         tr = np.trace(m)
@@ -112,6 +142,27 @@ class DensityMatrix:
             raise ValidationError(
                 f"DensityMatrix: negative eigenvalue {evals.min():.3e} below -1e-10"
             )
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        f = self.factor
+        return _as_complex(f @ f.conj().T)
+
+    @functools.cached_property
+    def factor(self) -> np.ndarray:
+        # a backward-stable eigensolver resolves eigenvalues only to about
+        # dim * eps * ||rho||; the levels below that (and the negative ones
+        # the PSD slack allows) are noise with arbitrary eigenvectors, and a
+        # clock penalty of L**12 would amplify them, so they are dropped
+        evals, evecs = _eigh(self.entries)
+        keep = evals > evals[-1] * len(evals) * np.finfo(float).eps
+        return _as_complex(evecs[:, keep] * np.sqrt(evals[keep]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DensityMatrix is immutable; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return f"DensityMatrix(num_qubits={self.num_qubits})"
 
 
 @dataclass(frozen=True)
@@ -228,9 +279,10 @@ def operator_norm(op: Operator) -> float:
     return float(np.linalg.svd(op.entries, compute_uv=False)[0])
 
 
-def _eigh(mat: np.ndarray, k: int | None = None):
+def _eigh(mat: np.ndarray, k: int | None = None, vectors: bool = True):
     """Ascending eigenpairs of a dense Hermitian matrix: all, or the lowest k.
 
+    With vectors=False only the eigenvalues are computed and returned.
     Every dense factorisation goes through LAPACK's MRRR driver (zheevr).
     It costs the same as the divide-and-conquer driver (zheevd) behind
     np.linalg.eigh, which fails to converge on some clock Hamiltonians at
@@ -238,7 +290,8 @@ def _eigh(mat: np.ndarray, k: int | None = None):
     """
     subset = None if k is None else (0, min(k, mat.shape[0]) - 1)
     try:
-        return scipy.linalg.eigh(mat, driver="evr", subset_by_index=subset)
+        return scipy.linalg.eigh(mat, driver="evr", subset_by_index=subset,
+                                 eigvals_only=not vectors)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigensolver failed: {exc}") from None
 

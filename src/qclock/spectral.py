@@ -69,11 +69,12 @@ def assemble(h: LocalHamiltonian) -> Operator:
 
 
 def matvec(h: LocalHamiltonian, vec: np.ndarray) -> np.ndarray:
-    """H @ vec straight off the term list; no matrix is materialized."""
+    """H @ vec straight off the term list, for a vector or a 2^n x m block
+    of columns; no matrix is materialized."""
     n = h.num_qubits
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    if vec.size != 2 ** n:
-        raise ValidationError(f"vector length {vec.size} does not match {n} qubits")
+    vec = np.asarray(vec, dtype=complex)
+    if vec.ndim not in (1, 2) or vec.shape[0] != 2 ** n:
+        raise ValidationError(f"vector shape {vec.shape} does not match {n} qubits")
     out = np.zeros_like(vec)
     for term in h.terms:
         out += term.weight * apply_local(term.matrix, term.support, n, vec)

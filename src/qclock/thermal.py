@@ -9,8 +9,12 @@ holds whenever the ground energy is >= a (second term counts every state
 above the cutoff at its worst weight), and picking T small enough makes
 the Gibbs mean land on the witness side of a promise.
 
-Each entry point factors H once per call; gibbs_reports serves a whole
-temperature list from that one factorisation.
+Each entry point assembles H once per call. gibbs_reports serves a whole
+temperature list from one eigenvalues-only factorisation, and gibbs_decide
+uses it too. The two states come back as square-root factors, never as
+2^n x 2^n matrices: gibbs_state as V sqrt(p) over the occupied levels, and
+ground_projector_state as V / sqrt(r) over the r ground vectors, found by a
+subset solve that grows until it has passed the ground space.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .clockham import LocalHamiltonian
 from .spectral import assemble
 
 _LN2 = math.log(2.0)
+_GROUND_SUBSET = 8      # first subset size of the ground-space solve
 
 __all__ = [
     "Temperature", "ThermalReport", "EnergyBound", "DecisionTemperature",
@@ -96,32 +101,50 @@ def _thermal_report(evals: np.ndarray, temp: Temperature) -> ThermalReport:
 
 
 def gibbs_state(h: LocalHamiltonian, t):
-    """Gibbs state of the assembled Hamiltonian; returns (state, report)."""
+    """Gibbs state of the assembled Hamiltonian; returns (state, report).
+
+    The report comes from the eigenvalues-only factorisation, exactly as
+    gibbs_reports gives it. The state is built from the factor V sqrt(p):
+    p are that report's populations, V the eigenvectors of the levels with
+    p > 0, from a subset solve of the same matrix.
+    """
     temp = _as_temperature(t)
-    evals, evecs = _eigh(assemble(h).entries)
-    report = _thermal_report(evals, temp)
+    mat = assemble(h).entries
+    report = _thermal_report(_eigh(mat, vectors=False), temp)
     pops = np.array(report.populations)
-    rho = (evecs * pops) @ evecs.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    state = DensityMatrix(h.num_qubits, rho / np.trace(rho).real)
+    occupied = int(np.count_nonzero(pops))    # pops fall with energy
+    _, evecs = _eigh(mat, occupied)
+    state = DensityMatrix(h.num_qubits, factor=evecs * np.sqrt(pops[:occupied]))
     return state, report
 
 
 def gibbs_reports(h: LocalHamiltonian, temps) -> tuple:
-    """Thermal reports at each temperature from one factorisation of H;
-    no density matrix is built. Entry i equals gibbs_state(h, temps[i])[1]."""
+    """Thermal reports at each temperature from one eigenvalues-only
+    factorisation of H; no density matrix is built. Entry i equals
+    gibbs_state(h, temps[i])[1]."""
     temps = [_as_temperature(t) for t in temps]
-    evals, _ = _eigh(assemble(h).entries)
+    evals = _eigh(assemble(h).entries, vectors=False)
     return tuple(_thermal_report(evals, temp) for temp in temps)
 
 
 def ground_projector_state(h: LocalHamiltonian, degeneracy_tol: float = 1e-10):
-    """T -> 0 limit: maximally mixed state over the ground space."""
-    evals, evecs = _eigh(assemble(h).entries)
-    sel = evals - evals[0] <= degeneracy_tol
+    """T -> 0 limit: maximally mixed state over the ground space.
+
+    The ground space is every eigenvector within degeneracy_tol of the
+    lowest eigenvalue. A subset solve asks for the lowest k eigenpairs and
+    doubles k while all of them are in it; the r ground vectors V give the
+    state's factor V / sqrt(r).
+    """
+    mat = assemble(h).entries
+    k = _GROUND_SUBSET
+    while True:
+        evals, evecs = _eigh(mat, k)
+        sel = evals - evals[0] <= degeneracy_tol
+        if not sel.all() or len(evals) == len(mat):
+            break
+        k *= 2
     vecs = evecs[:, sel]
-    rho = (vecs @ vecs.conj().T) / vecs.shape[1]
-    return DensityMatrix(h.num_qubits, rho)
+    return DensityMatrix(h.num_qubits, factor=vecs / np.sqrt(vecs.shape[1]))
 
 
 def mean_energy_bound(a: float, d: float, n: int, e_max: float, t) -> EnergyBound:
@@ -191,6 +214,8 @@ def gibbs_decide(h: LocalHamiltonian, t, decision_energy: float | None = None):
         t = t.temperature
     if decision_energy is None:
         raise ValidationError("gibbs_decide needs a decision energy")
+    if not math.isfinite(decision_energy):
+        raise ValidationError(f"decision energy {decision_energy} must be finite")
     report = gibbs_reports(h, [t])[0]
     verdict = "witness-exists" if report.mean_energy <= decision_energy else "no-witness"
     report = report._replace(cutoff=float(decision_energy))

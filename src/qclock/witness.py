@@ -1,7 +1,12 @@
 """Witness extraction from low-energy states, and the POVM verifier.
 
 The extraction map undoes the history correlation: pull the state back
-through the history transform and keep the input register. For the verifier,
+through the history transform and keep the input register. Both steps and
+the energy run on the state's square-root factor F (rho = F F^dag): the
+inverse clock-controlled gates act on the columns of F, the input-register
+trace is A A^dag for a reshape A of the pulled-back factor, and tr(rho H)
+sums <f|H f> with a matrix-free H. No 2^N x 2^N matrix is formed, only
+the 2^n x 2^n witness on the input register. For the verifier,
 a term of weight w_j is drawn with probability w_j / total_weight and its
 matrix measured as a two-outcome POVM, so the overall acceptance is
 1 - tr(rho H) / total_weight.
@@ -16,13 +21,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .qcore import (
-    DensityMatrix, PureState, RegisterLayout, named_stream, partial_trace,
-)
+from .qcore import DensityMatrix, RegisterLayout, named_stream
 from .circuit import Circuit, Gate, accept_probability, optimal_witness
 from .clockham import (
-    LocalHamiltonian, compile_circuit, history_transform, term_expectation,
+    LocalHamiltonian, compile_circuit, history_pull_back, term_expectation,
 )
+from .spectral import matvec
 
 __all__ = [
     "WitnessParams", "WitnessResult", "extract_witness", "povm_verifier_accept",
@@ -53,30 +57,33 @@ class WitnessResult(NamedTuple):
 
 
 def hamiltonian_energy(rho: DensityMatrix, h: LocalHamiltonian) -> float:
-    """tr(rho H) accumulated term by term (no assembly)."""
+    """tr(rho H) = sum_i <f_i|H f_i> over the columns f_i of rho's factor,
+    with H applied matrix-free (no assembly)."""
     if rho.num_qubits != h.num_qubits:
         raise ValidationError("state and Hamiltonian qubit counts differ")
-    return float(sum(t.weight * term_expectation(rho, t) for t in h.terms))
+    f = rho.factor
+    return float(np.vdot(f, matvec(h, f)).real)
 
 
 def _witness_tail(rho: DensityMatrix, c: Circuit, meta: Circuit,
                   pick: int | None = None):
     """Read an input witness of c out of a state of meta's register.
 
-    meta is c or its k-copy replica. rho is pulled back through meta's
-    history transform W (W^dag rho W) and traced onto the k input blocks;
-    the witness is their uniform mixture, or block `pick` alone. Returns
+    meta is c or its k-copy replica. rho's factor F is pulled back to
+    W^dag F through meta's history transform W. The trace of
+    W^dag F F^dag W onto input block i is A A^dag, where A is W^dag F
+    reshaped so that block i's qubits index the rows. The witness is the
+    uniform mixture over the k blocks, or block `pick` alone. Returns
     (witness, acceptance of c on it).
     """
-    w = history_transform(meta).entries
-    pulled = DensityMatrix(rho.num_qubits, w.conj().T @ rho.entries @ w)
+    pulled = history_pull_back(meta, rho.factor)
     n = c.n_input
-    if pick is not None:
-        sigma = partial_trace(pulled, range(pick * n, (pick + 1) * n))
-    else:
-        k = meta.n_input // n
-        blocks = [partial_trace(pulled, range(i * n, (i + 1) * n)) for i in range(k)]
-        sigma = DensityMatrix(n, sum(b.entries for b in blocks) / k)
+    blocks = range(meta.n_input // n) if pick is None else (pick,)
+    sigma = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for i in blocks:
+        a = pulled.reshape(2 ** (i * n), 2 ** n, -1).swapaxes(0, 1).reshape(2 ** n, -1)
+        sigma += a @ a.conj().T
+    sigma = DensityMatrix(n, sigma / len(blocks))
     return sigma, accept_probability(c, sigma).accept_probability
 
 
@@ -201,6 +208,8 @@ def prepare_witness(c: Circuit, params: WitnessParams, source: LowEnergySource,
     h = compile_circuit(meta, clock_penalty=clock_penalty, accept_qubits=accepts)
     target = (1.0 / (2.0 * (meta.length + 1))
               if target_energy is None else float(target_energy))
+    if not math.isfinite(target):
+        raise ValidationError(f"target energy {target} must be finite")
     rho = source(h, target)
     if not isinstance(rho, DensityMatrix) or rho.num_qubits != h.num_qubits:
         raise ValidationError("low-energy source returned a mismatched state")

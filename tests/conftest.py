@@ -137,6 +137,39 @@ def unitary_oracle(c: Circuit) -> np.ndarray:
     return u
 
 
+def history_transform_oracle(c: Circuit) -> np.ndarray:
+    """Independent dense history transform W = W_L ... W_1, written from
+    scratch: W_t = U_t (x) |1><1| + I (x) |0><0| on (gate targets, clock
+    qubit t), embedded on the compiled register and multiplied densely."""
+    width = c.n_input + c.n_ancilla
+    n = width + c.length
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    w = np.eye(2 ** n, dtype=complex)
+    for t, g in enumerate(c.gates, start=1):
+        step = (np.kron(g.matrix, p1)
+                + np.kron(np.eye(2 ** len(g.targets)), p0))
+        w = _embed_oracle(step, list(g.targets) + [width + t - 1], n) @ w
+    return w
+
+
+def partial_trace_oracle(rho: np.ndarray, keep, n: int) -> np.ndarray:
+    """Reduced matrix on the sorted qubits in `keep`, by index arithmetic
+    over all basis pairs (qubit 0 is the most significant bit)."""
+    keep = sorted(keep)
+    drop = [x for x in range(n) if x not in keep]
+    out = np.zeros((2 ** len(keep),) * 2, dtype=complex)
+    for i in range(2 ** n):
+        for j in range(2 ** n):
+            bits_i = [(i >> (n - 1 - b)) & 1 for b in range(n)]
+            bits_j = [(j >> (n - 1 - b)) & 1 for b in range(n)]
+            if any(bits_i[b] != bits_j[b] for b in drop):
+                continue
+            ri = sum(bits_i[b] << (len(keep) - 1 - s) for s, b in enumerate(keep))
+            rj = sum(bits_j[b] << (len(keep) - 1 - s) for s, b in enumerate(keep))
+            out[ri, rj] += rho[i, j]
+    return out
+
+
 def accept_oracle(c: Circuit, rho_input: np.ndarray) -> float:
     """Accept probability of a direct run, written from scratch: the input
     state with every ancilla at |0>, conjugated by unitary_oracle(c), summed

@@ -15,9 +15,9 @@ import numpy as np
 import qclock as q
 
 from conftest import (
-    all_reject_circuit, assemble_oracle, checkout_env, random_circuit,
-    random_density_matrix, random_povm_hamiltonian, random_pure_state,
-    rng_for,
+    all_reject_circuit, assemble_oracle, checkout_env,
+    history_transform_oracle, random_circuit, random_density_matrix,
+    random_povm_hamiltonian, random_pure_state, rng_for,
 )
 
 
@@ -100,7 +100,7 @@ def test_criterion_04_propagation_spectrum():
         h = q.compile_circuit(c).restricted_to(
             ["prop_projector", "prop_hopping", "clock"])
         mat = assemble_oracle(h)
-        w = q.history_transform(c).entries
+        w = history_transform_oracle(c)
         conj = w.conj().T @ mat @ w
         cols = []
         for b in range(2):

@@ -120,6 +120,32 @@ def test_witness_hot_source_fails_consistency(circuit_file, capsys):
     assert "consistency" in capsys.readouterr().err
 
 
+def test_witness_rejects_non_finite_target_energy(circuit_file, capsys):
+    # a nan target would switch the energy-target check off: this hot
+    # source exits 5 without the flag, and must not pass with it
+    code = main(["witness", circuit_file, "--source", "gibbs:50",
+                 "--target-energy", "nan"])
+    cap = capsys.readouterr()
+    assert code == 2
+    assert "target energy nan must be finite" in cap.err
+    assert cap.out == ""
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--temp", "0.1", "--decide", "nan"], "--decide energy nan must be finite"),
+    (["--auto-qma", "0.25", "nan", "2"], "--auto-qma L nan must be finite"),
+    (["--auto-qma", "0.25", "inf", "2"], "--auto-qma L inf must be finite"),
+    (["--auto-qma", "0.25", "1.9", "2"], "--auto-qma L 1.9 must be a whole number"),
+], ids=["decide-nan", "auto-qma-L-nan", "auto-qma-L-inf", "auto-qma-L-fraction"])
+def test_gibbs_rejects_non_finite_or_fractional_numbers(ham_file, capsys,
+                                                        flags, message):
+    code = main(["gibbs", ham_file, *flags])
+    cap = capsys.readouterr()
+    assert code == 2
+    assert message in cap.err
+    assert cap.out == ""
+
+
 def test_amplify_table(capsys):
     assert main(["amplify", "--k", "16,81", "--eps", "0.25,0.1"]) == 0
     rows = capsys.readouterr().out.strip().split("\n")

@@ -3,9 +3,11 @@ import pytest
 
 import qclock as q
 
+from qclock.clockham import history_transform
+
 from conftest import (
-    all_reject_circuit, assemble_oracle, random_circuit, random_pure_state,
-    rng_for, unitary_oracle,
+    all_reject_circuit, assemble_oracle, history_transform_oracle,
+    random_circuit, random_pure_state, rng_for, unitary_oracle,
 )
 
 
@@ -111,10 +113,11 @@ def test_hopping_terms_are_hermitian_not_psd():
     assert np.linalg.eigvalsh(hop.matrix).min() < -0.9  # genuinely indefinite
 
 
-def test_history_transform_applies_prefixes():
+def test_history_pull_back_undoes_prefixes():
+    # W maps |psi>|t> to (U_t ... U_1 |psi>)|t>, so the pull-back W^dag
+    # maps every snapshot back to the input at its own clock value
     rng = rng_for("wtrans")
     c = random_circuit(rng, n_input=2, n_ancilla=0, length=3)
-    w = q.history_transform(c).entries
     n = 2
     psi = random_pure_state(rng, n).amplitudes
     for t in range(c.length + 1):
@@ -124,16 +127,29 @@ def test_history_transform_applies_prefixes():
                 q.Circuit(c.layout, c.gates[:t], c.accept_qubit)) @ snap
         clock = np.zeros(2 ** c.length)
         clock[q.ClockState(t, c.length).basis_index] = 1.0
-        vec = np.kron(psi, clock)
-        got = w @ vec
-        np.testing.assert_allclose(got, np.kron(snap, clock), atol=1e-12)
+        got = q.history_pull_back(c, np.kron(snap, clock))
+        np.testing.assert_allclose(got, np.kron(psi, clock), atol=1e-12)
 
 
-def test_history_transform_is_unitary():
+def test_history_pull_back_matches_dense_oracle():
+    # on a block of columns, W^dag X against the dense oracle's adjoint;
+    # the dense history_transform (kept for the benchmark's span names) is
+    # built from the same pull-back and must equal the oracle too
+    rng = rng_for("wblock")
+    c = random_circuit(rng, n_input=2, n_ancilla=1, length=3)
+    w = history_transform_oracle(c)
+    x = rng.normal(size=(w.shape[0], 3)) + 1j * rng.normal(size=(w.shape[0], 3))
+    np.testing.assert_allclose(q.history_pull_back(c, x), w.conj().T @ x, atol=1e-12)
+    np.testing.assert_allclose(history_transform(c).entries, w, atol=1e-12)
+    with pytest.raises(q.ValidationError):
+        q.history_pull_back(c, x[:-1])
+
+
+def test_history_pull_back_is_unitary():
     rng = rng_for("wunitary")
     c = random_circuit(rng, n_input=1, n_ancilla=1, length=2)
-    w = q.history_transform(c).entries
-    np.testing.assert_allclose(w @ w.conj().T, np.eye(w.shape[0]), atol=1e-12)
+    w_dag = q.history_pull_back(c, np.eye(2 ** (2 + c.length), dtype=complex))
+    np.testing.assert_allclose(w_dag @ w_dag.conj().T, np.eye(w_dag.shape[0]), atol=1e-12)
 
 
 def test_history_state_snapshot_form():
@@ -199,7 +215,7 @@ def test_conjugated_propagation_is_identity_tensor_walk():
     h = q.compile_circuit(c).restricted_to(
         ["prop_projector", "prop_hopping", "clock"])
     mat = assemble_oracle(h)
-    w = q.history_transform(c).entries
+    w = history_transform_oracle(c)
     conj = w.conj().T @ mat @ w
     # isometry onto data (x) legal clock strings
     length = c.length

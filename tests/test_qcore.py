@@ -7,7 +7,9 @@ import pytest
 import qclock as q
 from qclock.qcore import apply_local, fmt_float, permute_to_sorted
 
-from conftest import random_density_matrix, random_pure_state, rng_for
+from conftest import (
+    partial_trace_oracle, random_density_matrix, random_pure_state, rng_for,
+)
 
 
 def test_pure_state_validation():
@@ -27,6 +29,48 @@ def test_density_matrix_validation():
         q.DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))  # not PSD
     with pytest.raises(q.ValidationError):
         q.DensityMatrix(1, np.array([[0.5, 1.0], [0.0, 0.5]]))  # not Hermitian
+    with pytest.raises(q.ValidationError):
+        q.DensityMatrix(1, np.array([[np.nan, 0.0], [0.0, 1.0]]))  # not finite
+
+
+def test_factor_built_density_matrix_validation():
+    f = np.array([[0.6], [0.0]])
+    with pytest.raises(q.ValidationError, match="trace"):
+        q.DensityMatrix(1, factor=f)                        # ||F||^2 = 0.36
+    with pytest.raises(q.ValidationError, match="trace"):
+        q.DensityMatrix(1, factor=np.array([[0.8, 0.6], [0.0, 0.1]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(q.ValidationError, match="non-finite"):
+            q.DensityMatrix(1, factor=np.array([[1.0], [bad]]))
+    with pytest.raises(q.ValidationError, match="rows"):
+        q.DensityMatrix(1, factor=np.ones((4, 1)) / 2)      # 2 qubits' rows
+    with pytest.raises(q.ValidationError, match="rows"):
+        q.DensityMatrix(1, factor=np.zeros((2, 0)))         # no columns
+    with pytest.raises(q.ValidationError, match="exactly one"):
+        q.DensityMatrix(1, np.eye(2) / 2, factor=np.eye(2) / np.sqrt(2))
+    with pytest.raises(q.ResourceLimitError):
+        q.DensityMatrix(q.DENSE_QUBIT_CAP + 1, factor=np.ones((1, 1)))
+
+
+def test_density_matrix_forms_agree():
+    # a factor-built state's entries are F F^dag; an entries-built state's
+    # factor reproduces its entries; neither can be reassigned
+    rng = rng_for("forms")
+    a = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    a /= np.linalg.norm(a)
+    from_factor = q.DensityMatrix(3, factor=a)
+    np.testing.assert_allclose(from_factor.entries, a @ a.conj().T, atol=1e-15)
+    rho = random_density_matrix(rng, 3, rank=2)
+    f = rho.factor
+    assert f.shape == (8, 2)
+    np.testing.assert_allclose(f @ f.conj().T, rho.entries, atol=1e-14)
+    assert rho.factor is f  # derived once
+    psi = random_pure_state(rng, 3)
+    assert psi.density().factor.shape == (8, 1)
+    np.testing.assert_allclose(psi.density().entries,
+                               np.outer(psi.amplitudes, psi.amplitudes.conj()), atol=1e-15)
+    with pytest.raises(AttributeError):
+        rho.num_qubits = 2
 
 
 def test_qubit_caps_enforced():
@@ -71,23 +115,7 @@ def test_partial_trace_against_loop_oracle():
         rho = random_density_matrix(rng, n)
         keep = sorted(rng.choice(n, size=2, replace=False).tolist())
         got = q.partial_trace(rho, keep).entries
-
-        # independent oracle: index arithmetic over all basis pairs
-        d_keep = 4
-        oracle = np.zeros((d_keep, d_keep), dtype=complex)
-        drop = [x for x in range(n) if x not in keep]
-        for i in range(2 ** n):
-            for j in range(2 ** n):
-                # qubit 0 is the leftmost factor (most significant bit)
-                bits_i = [(i >> (n - 1 - b)) & 1 for b in range(n)]
-                bits_j = [(j >> (n - 1 - b)) & 1 for b in range(n)]
-                if any(bits_i[b] != bits_j[b] for b in drop):
-                    continue
-                ri = sum(bits_i[b] << (len(keep) - 1 - s)
-                         for s, b in enumerate(keep))
-                rj = sum(bits_j[b] << (len(keep) - 1 - s)
-                         for s, b in enumerate(keep))
-                oracle[ri, rj] += rho.entries[i, j]
+        oracle = partial_trace_oracle(rho.entries, keep, n)
         np.testing.assert_allclose(got, oracle, atol=1e-12)
 
 

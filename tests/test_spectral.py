@@ -4,8 +4,8 @@ import pytest
 import qclock as q
 
 from conftest import (
-    all_reject_circuit, assemble_oracle, random_circuit,
-    random_povm_hamiltonian, random_pure_state, rng_for,
+    all_reject_circuit, assemble_oracle, history_transform_oracle,
+    random_circuit, random_povm_hamiltonian, random_pure_state, rng_for,
 )
 
 
@@ -93,7 +93,7 @@ def test_propagation_spectrum_matches_compiled_walk():
         h = q.compile_circuit(c).restricted_to(
             ["prop_projector", "prop_hopping", "clock"])
         mat = assemble_oracle(h)
-        w = q.history_transform(c).entries
+        w = history_transform_oracle(c)
         conj = w.conj().T @ mat @ w
         n_data = 2
         cols = []

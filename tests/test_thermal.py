@@ -68,6 +68,62 @@ def test_ground_projector_state_degenerate_space():
     assert abs(q.hamiltonian_energy(rho, h1)) < 1e-12
 
 
+def test_ground_projector_state_grows_its_subset(monkeypatch):
+    # one |1><1| penalty on qubit 0 of 5 leaves a 16-dim ground space, more
+    # than the first subset solve returns, so the subset must grow
+    sizes = []
+    eigh = thermal._eigh
+    monkeypatch.setattr(thermal, "_eigh", lambda mat, k=None, vectors=True:
+                        sizes.append(k) or eigh(mat, k, vectors))
+    p1 = np.diag([0.0, 1.0]).astype(complex)
+    h = q.LocalHamiltonian(5, (q.LocalTerm("in", 1.0, (0,), p1),))
+    rho = q.ground_projector_state(h)
+    assert rho.factor.shape == (32, 16)
+    np.testing.assert_allclose(rho.entries, np.diag([1 / 16] * 16 + [0] * 16),
+                               atol=1e-12)
+    assert len(sizes) > 1 and sizes[-2] <= 16 < sizes[-1]
+    assert all(b == 2 * a for a, b in zip(sizes, sizes[1:]))
+
+
+def test_gibbs_reports_use_eigenvalues_only(monkeypatch):
+    # the one factorisation computes no eigenvectors, and its eigenvalues
+    # match an independent dense solve within sqrt(2^n) eps total_weight
+    seen = []
+    eigh = thermal._eigh
+
+    def record(mat, k=None, vectors=True):
+        out = eigh(mat, k, vectors)
+        seen.append((vectors, out))
+        return out
+
+    monkeypatch.setattr(thermal, "_eigh", record)
+    rng = rng_for("gibbs-evals")
+    c = random_circuit(rng, n_input=2, n_ancilla=1, length=3)
+    for h in (q.compile_circuit(c), random_povm_hamiltonian(rng, 4, 6)):
+        seen.clear()
+        reports = q.gibbs_reports(h, [0.01, 1.0])
+        [(vectors, evals)] = seen
+        assert vectors is False
+        want = np.linalg.eigvalsh(assemble_oracle(h))
+        bound = math.sqrt(2 ** h.num_qubits) * np.finfo(float).eps * h.total_weight
+        assert np.abs(evals - want).max() <= bound
+        for r in reports:
+            assert r.e_min == evals[0] and r.e_max == evals[-1]
+
+
+def test_gibbs_state_factor_spans_occupied_levels():
+    # at a low temperature the clock-penalised levels carry population 0
+    # exactly, and the state's factor keeps only the occupied ones
+    c = random_circuit(rng_for("gibbs-factor"), n_input=2, n_ancilla=1, length=3)
+    h = q.compile_circuit(c)
+    state, report = q.gibbs_state(h, 0.05)
+    occupied = sum(p > 0 for p in report.populations)
+    assert occupied < 2 ** h.num_qubits
+    assert state.factor.shape == (2 ** h.num_qubits, occupied)
+    bound = math.sqrt(2 ** h.num_qubits) * np.finfo(float).eps * h.total_weight
+    assert abs(q.hamiltonian_energy(state, h) - report.mean_energy) <= bound
+
+
 def test_mean_energy_bound_formula():
     # rhs = a + (d-a)/2 + 2^n exp(-(d-a)/(2T)) e_max, checked literally
     b = q.mean_energy_bound(a=0.0, d=0.5, n=3, e_max=4.0, t=0.1)
@@ -148,6 +204,8 @@ def test_gibbs_decide_explicit_energy_override():
     assert verdict == "witness-exists"
     with pytest.raises(q.ValidationError):
         q.gibbs_decide(h, q.Temperature(0.1))  # no energy anywhere
+    with pytest.raises(q.ValidationError, match="must be finite"):
+        q.gibbs_decide(h, q.Temperature(0.1), decision_energy=float("nan"))
 
 
 def test_gibbs_reports_equal_gibbs_state_reports():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import qclock as q
+from qclock import witness
 
 from conftest import (
-    all_reject_circuit, assemble_oracle, random_circuit,
+    accept_oracle, all_reject_circuit, assemble_oracle,
+    history_transform_oracle, partial_trace_oracle, random_circuit,
     random_density_matrix, random_povm_hamiltonian, random_pure_state,
     rng_for,
 )
@@ -38,6 +40,52 @@ def test_extract_witness_recovers_history_input():
         np.outer(inp.amplitudes, inp.amplitudes.conj()), atol=1e-12)
     p_direct = q.accept_probability(c, outer(inp)).accept_probability
     assert abs(res.accept_probability - p_direct) < 1e-12
+
+
+def random_factor(rng, num_qubits: int, rank: int) -> np.ndarray:
+    f = (rng.normal(size=(2 ** num_qubits, rank))
+         + 1j * rng.normal(size=(2 ** num_qubits, rank)))
+    return f / np.linalg.norm(f)
+
+
+def dense_witness_oracle(f, c, meta, blocks):
+    """W^dag rho W from the dense oracle, traced onto each listed input
+    block of c's size by index loops, then mixed uniformly."""
+    w = history_transform_oracle(meta)
+    pulled = w.conj().T @ (f @ f.conj().T) @ w
+    total = meta.n_input + meta.n_ancilla + meta.length
+    n = c.n_input
+    return sum(partial_trace_oracle(pulled, range(i * n, (i + 1) * n), total)
+               for i in blocks) / len(blocks)
+
+
+def test_extract_witness_factor_pull_back_matches_dense_oracle():
+    # k = 1: a rank-3 state built from its factor, pulled back on vectors
+    rng = rng_for("tail-1")
+    c = random_circuit(rng, n_input=2, n_ancilla=1, length=3)
+    h = q.compile_circuit(c, clock_penalty=16.0)
+    f = random_factor(rng, h.num_qubits, 3)
+    res = q.extract_witness(q.DensityMatrix(h.num_qubits, factor=f), c, ham=h)
+    want = dense_witness_oracle(f, c, c, [0])
+    np.testing.assert_allclose(res.witness.entries, want, atol=1e-12)
+    assert abs(res.accept_probability - accept_oracle(c, want)) < 1e-12
+    energy = np.trace(f @ f.conj().T @ assemble_oracle(h)).real
+    assert abs(res.energy - energy) < 1e-12 * h.total_weight
+
+
+@pytest.mark.parametrize("pick", [None, 0, 1])
+def test_witness_tail_two_copies_matches_dense_oracle(pick):
+    # k = 2: the uniform mixture of both input blocks, or one picked block
+    rng = rng_for(f"tail-2-{pick}")
+    c = random_circuit(rng, n_input=1, n_ancilla=1, length=2)
+    meta, _ = q.replicate_circuit(c, 2)
+    total = meta.n_input + meta.n_ancilla + meta.length
+    f = random_factor(rng, total, 2)
+    sigma, acc = witness._witness_tail(
+        q.DensityMatrix(total, factor=f), c, meta, pick)
+    want = dense_witness_oracle(f, c, meta, [0, 1] if pick is None else [pick])
+    np.testing.assert_allclose(sigma.entries, want, atol=1e-12)
+    assert abs(acc - accept_oracle(c, want)) < 1e-12
 
 
 def test_extract_witness_ground_state_high_acceptance():
