@@ -24,8 +24,8 @@ from .circuit import (
 )
 from .clockham import (
     ClockState, LocalHamiltonian, LocalTerm, PARTS, compile_circuit,
-    history_pull_back, history_state, parse_hamiltonian,
-    serialize_hamiltonian, term_expectation, unary_encode,
+    history_pull_back, history_state, legal_hamiltonian, parse_hamiltonian,
+    projection_leak, serialize_hamiltonian, term_expectation, unary_encode,
 )
 from .spectral import (
     PromiseGap, SpectralReport, assemble, check_promise, matvec,
@@ -43,9 +43,9 @@ from .amplify import (
 )
 from .thermal import (
     DecisionTemperature, EnergyBound, IsingBound, Temperature, ThermalReport,
-    cooling_temperature, decision_temperature, gibbs_decide, gibbs_reports,
-    gibbs_state, ground_projector_state, ising_decision_temperature,
-    mean_energy_bound,
+    cooling_temperature, decision_temperature, gibbs_decide, gibbs_factor,
+    gibbs_reports, gibbs_state, ground_projector_state, ground_space_factor,
+    ising_decision_temperature, mean_energy_bound,
 )
 
 __version__ = "0.1.0"
@@ -63,15 +63,16 @@ __all__ = [
     "check_promise", "circuit_unitary", "compile_circuit",
     "concatenate", "cooling_temperature", "decision_temperature",
     "exact_reject_prob", "expectation", "extract_witness", "gibbs_decide",
-    "gibbs_reports", "gibbs_state", "ground_projector_state",
-    "hamiltonian_energy",
+    "gibbs_factor", "gibbs_reports", "gibbs_state", "ground_projector_state",
+    "ground_space_factor", "hamiltonian_energy",
     "history_pull_back", "history_state", "ising_decision_temperature",
-    "kl_divergence", "majority_threshold", "matvec",
+    "kl_divergence", "legal_hamiltonian", "majority_threshold", "matvec",
     "mean_energy_bound", "min_eigenvalue", "named_stream",
     "naive_restriction_reject", "operator_norm", "optimal_witness",
     "parse_circuit", "parse_hamiltonian", "partial_trace",
     "povm_verifier_accept", "povm_verifier_sample", "prepare_witness",
-    "propagation_spectrum", "read_matrix", "read_state", "replicate_circuit",
+    "projection_leak", "propagation_spectrum", "read_matrix", "read_state",
+    "replicate_circuit",
     "serialize_circuit", "serialize_hamiltonian", "serialize_report",
     "simulate_majority_vote", "state_digest", "sufficient_copies",
     "tail_bounds", "tensor_product", "term_expectation", "unary_encode",

@@ -21,21 +21,27 @@ The hopping acts on clock qubit t alone, so it couples legal and illegal
 clock sectors; the clock penalty suppresses the coupling to O(1/penalty)
 but the assembled matrix is not exactly PSD (ground energies of perfect
 instances sit a hair below zero, bounded by -O(L)/penalty).
+
+legal_hamiltonian gives the penalty -> infinity limit without the 2^N
+register: in + out + prop on the L+1 legal clock states, in the history
+frame, as a dense matrix of dimension 2^(n+m) (L+1). projection_leak bounds
+how far the compiled ground energy at a finite penalty lies below it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ResourceLimitError, ValidationError
 from .qcore import (
     DENSE_QUBIT_CAP, QUBIT_CAP, DensityMatrix, Operator, PureState,
     RegisterLayout, _check_qubit_count, _content_lines, _entry_lines,
     _parse_entry_lines, apply_local, fmt_float, permute_to_sorted,
 )
-from .circuit import Circuit
+from .circuit import Circuit, apply_gates
 
 PARTS = ("in", "out", "prop_projector", "prop_hopping", "clock")
 _PSD_PARTS = ("in", "out", "prop_projector", "clock")
@@ -47,7 +53,8 @@ _LOWER = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
 __all__ = [
     "PARTS", "LocalTerm", "LocalHamiltonian", "ClockState", "unary_encode",
     "compile_circuit", "history_pull_back", "history_state",
-    "term_expectation", "parse_hamiltonian", "serialize_hamiltonian",
+    "legal_hamiltonian", "projection_leak", "term_expectation",
+    "parse_hamiltonian", "serialize_hamiltonian",
 ]
 
 
@@ -194,8 +201,7 @@ def compile_circuit(c: Circuit, clock_penalty: float | None = None,
     penalty = float(length ** 12) if clock_penalty is None else float(clock_penalty)
     if not (penalty > 0 and np.isfinite(penalty)):
         raise ValidationError(f"clock penalty {penalty} must be positive and finite")
-    if accept_qubits is None:
-        accept_qubits = (c.accept_qubit,)
+    accept_qubits = _accept_qubits(c, accept_qubits)
     terms = []
 
     zero_one = np.kron(_P0, _P1)  # |01><01|
@@ -212,8 +218,6 @@ def compile_circuit(c: Circuit, clock_penalty: float | None = None,
 
     cl = layout.clock_qubit(length)
     for acc in accept_qubits:
-        if not 0 <= acc < c.n_input + c.n_ancilla:
-            raise ValidationError(f"accept qubit {acc} outside register")
         terms.append(LocalTerm("out", 1.0, (acc, cl), np.kron(_P0, _P1)))
 
     for t in range(1, length + 1):
@@ -228,6 +232,70 @@ def compile_circuit(c: Circuit, clock_penalty: float | None = None,
         terms.append(LocalTerm("prop_hopping", 0.5, tuple(support), hop))
 
     return LocalHamiltonian(layout, tuple(terms))
+
+
+def _accept_qubits(c: Circuit, accept_qubits):
+    accept_qubits = (c.accept_qubit,) if accept_qubits is None else tuple(accept_qubits)
+    for acc in accept_qubits:
+        if not 0 <= acc < c.n_input + c.n_ancilla:
+            raise ValidationError(f"accept qubit {acc} outside register")
+    return accept_qubits
+
+
+def legal_hamiltonian(c: Circuit, accept_qubits=None) -> np.ndarray:
+    """in + out + prop of compile_circuit(c, accept_qubits=...) on the legal
+    clock states, conjugated by the history transform W: a dense Hermitian
+    matrix on |x> (x) |t>, x over the 2^w input and ancilla values
+    (w = n + m), t = 0..L, index x (L+1) + t.
+
+    In that frame every hopping term U_t (x) |t><t-1| becomes I (x)
+    |t><t-1|, so, with the compiler's weights,
+
+        H' = I (x) A + P (x) |0><0| + Q (x) |L><L|
+
+    A is the path walk (1/2 per step on |t-1>-|t>), P counts the ancillas
+    reading 1, and Q = U^dag (sum over accept qubits |0><0|) U. The clock
+    terms vanish on legal states, so H' is the clock_penalty -> infinity
+    limit of the compiled Hamiltonian (see projection_leak), and its
+    eigenvectors are already pulled back through W. Dimensions above
+    2**DENSE_QUBIT_CAP raise ResourceLimitError.
+    """
+    width, length = c.n_input + c.n_ancilla, c.length
+    dim = 2 ** width * (length + 1)
+    if dim > 2 ** DENSE_QUBIT_CAP:
+        raise ResourceLimitError(
+            f"legal_hamiltonian of dimension {dim} exceeds the dense cap of "
+            f"2**{DENSE_QUBIT_CAP}"
+        )
+    accept_qubits = _accept_qubits(c, accept_qubits)
+    x = np.arange(2 ** width)
+    bit = lambda q: (x >> (width - 1 - q)) & 1  # noqa: E731 - qubit 0 is the high bit
+    ancilla_ones = sum((bit(a) for a in range(c.n_input, width)), np.zeros(x.size))
+    rejects = sum((1 - bit(acc) for acc in accept_qubits), np.zeros(x.size))
+    u = apply_gates(c, np.eye(x.size, dtype=complex))
+    q = (u.conj().T * rejects) @ u
+    walk = (np.diag(np.r_[0.5, np.ones(length - 1), 0.5])
+            - 0.5 * np.eye(length + 1, k=1) - 0.5 * np.eye(length + 1, k=-1))
+    h = np.zeros((x.size, length + 1, x.size, length + 1), dtype=complex)
+    h[x, :, x, :] = walk
+    h[x, 0, x, 0] += ancilla_ones
+    h[:, length, :, length] += 0.5 * (q + q.conj().T)
+    return h.reshape(dim, dim)
+
+
+def projection_leak(c: Circuit, accept_qubits=None,
+                    clock_penalty: float | None = None) -> float:
+    """Kempe-Kitaev-Regev projection-lemma bound ||H1||^2 / (J - 2 ||H1||)
+    on how far the ground energy of compile_circuit(c, clock_penalty=J,
+    accept_qubits=...) lies below that of legal_hamiltonian (never above:
+    legal states carry no clock energy). ||H1|| is bounded by the summed
+    in, out and prop weights, m + #accept + 3L/2; J defaults to L**12.
+    inf when J <= 2 ||H1||, where the lemma gives no bound.
+    """
+    length = c.length
+    penalty = float(length ** 12) if clock_penalty is None else float(clock_penalty)
+    h1 = c.n_ancilla + len(_accept_qubits(c, accept_qubits)) + 1.5 * length
+    return h1 ** 2 / (penalty - 2 * h1) if penalty > 2 * h1 else math.inf
 
 
 def history_pull_back(c: Circuit, vecs: np.ndarray) -> np.ndarray:

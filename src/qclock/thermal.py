@@ -14,7 +14,9 @@ temperature list from one eigenvalues-only factorisation, and gibbs_decide
 uses it too. The two states come back as square-root factors, never as
 2^n x 2^n matrices: gibbs_state as V sqrt(p) over the occupied levels, and
 ground_projector_state as V / sqrt(r) over the r ground vectors, found by a
-subset solve that grows until it has passed the ground space.
+subset solve that grows until it has passed the ground space. Those factors
+come from two matrix-level helpers, gibbs_factor and ground_space_factor,
+which also serve the legal-clock matrices of the witness pipeline.
 """
 
 from __future__ import annotations
@@ -35,22 +37,23 @@ _GROUND_SUBSET = 8      # first subset size of the ground-space solve
 
 __all__ = [
     "Temperature", "ThermalReport", "EnergyBound", "DecisionTemperature",
-    "IsingBound", "gibbs_state", "gibbs_reports", "ground_projector_state",
-    "mean_energy_bound", "cooling_temperature", "decision_temperature",
+    "IsingBound", "gibbs_factor", "gibbs_state", "gibbs_reports",
+    "ground_projector_state", "ground_space_factor", "mean_energy_bound",
+    "cooling_temperature", "decision_temperature",
     "ising_decision_temperature", "gibbs_decide",
 ]
 
 
 @dataclass(frozen=True)
 class Temperature:
-    """Strictly positive temperature; the T -> 0 limit has its own path
-    (ground_projector_state)."""
+    """Strictly positive, finite temperature; the T -> 0 limit has its own
+    path (ground_space_factor)."""
 
     value: float
 
     def __post_init__(self):
-        if not self.value > 0.0:
-            raise ValidationError(f"temperature {self.value} must be > 0")
+        if not (self.value > 0.0 and math.isfinite(self.value)):
+            raise ValidationError(f"temperature {self.value} must be > 0 and finite")
 
 
 class ThermalReport(NamedTuple):
@@ -100,22 +103,28 @@ def _thermal_report(evals: np.ndarray, temp: Temperature) -> ThermalReport:
     )
 
 
-def gibbs_state(h: LocalHamiltonian, t):
-    """Gibbs state of the assembled Hamiltonian; returns (state, report).
+def gibbs_factor(mat: np.ndarray, t):
+    """Gibbs state of a dense Hermitian matrix as a square-root factor;
+    returns (V sqrt(p), report).
 
     The report comes from the eigenvalues-only factorisation, exactly as
-    gibbs_reports gives it. The state is built from the factor V sqrt(p):
-    p are that report's populations, V the eigenvectors of the levels with
-    p > 0, from a subset solve of the same matrix.
+    gibbs_reports gives it. p are that report's populations, V the
+    eigenvectors of the levels with p > 0, from a subset solve of the same
+    matrix.
     """
     temp = _as_temperature(t)
-    mat = assemble(h).entries
     report = _thermal_report(_eigh(mat, vectors=False), temp)
     pops = np.array(report.populations)
     occupied = int(np.count_nonzero(pops))    # pops fall with energy
     _, evecs = _eigh(mat, occupied)
-    state = DensityMatrix(h.num_qubits, factor=evecs * np.sqrt(pops[:occupied]))
-    return state, report
+    return evecs * np.sqrt(pops[:occupied]), report
+
+
+def gibbs_state(h: LocalHamiltonian, t):
+    """Gibbs state of the assembled Hamiltonian; returns (state, report),
+    from gibbs_factor."""
+    factor, report = gibbs_factor(assemble(h).entries, t)
+    return DensityMatrix(h.num_qubits, factor=factor), report
 
 
 def gibbs_reports(h: LocalHamiltonian, temps) -> tuple:
@@ -127,15 +136,14 @@ def gibbs_reports(h: LocalHamiltonian, temps) -> tuple:
     return tuple(_thermal_report(evals, temp) for temp in temps)
 
 
-def ground_projector_state(h: LocalHamiltonian, degeneracy_tol: float = 1e-10):
-    """T -> 0 limit: maximally mixed state over the ground space.
+def ground_space_factor(mat: np.ndarray, degeneracy_tol: float = 1e-10) -> np.ndarray:
+    """Maximally mixed state over the ground space of a dense Hermitian
+    matrix, as the square-root factor V / sqrt(r).
 
     The ground space is every eigenvector within degeneracy_tol of the
     lowest eigenvalue. A subset solve asks for the lowest k eigenpairs and
-    doubles k while all of them are in it; the r ground vectors V give the
-    state's factor V / sqrt(r).
+    doubles k while all of them are in it; V holds the r ground vectors.
     """
-    mat = assemble(h).entries
     k = _GROUND_SUBSET
     while True:
         evals, evecs = _eigh(mat, k)
@@ -144,7 +152,14 @@ def ground_projector_state(h: LocalHamiltonian, degeneracy_tol: float = 1e-10):
             break
         k *= 2
     vecs = evecs[:, sel]
-    return DensityMatrix(h.num_qubits, factor=vecs / np.sqrt(vecs.shape[1]))
+    return vecs / np.sqrt(vecs.shape[1])
+
+
+def ground_projector_state(h: LocalHamiltonian, degeneracy_tol: float = 1e-10):
+    """T -> 0 limit: maximally mixed state over the ground space of the
+    assembled Hamiltonian, from ground_space_factor."""
+    factor = ground_space_factor(assemble(h).entries, degeneracy_tol)
+    return DensityMatrix(h.num_qubits, factor=factor)
 
 
 def mean_energy_bound(a: float, d: float, n: int, e_max: float, t) -> EnergyBound:

@@ -1,14 +1,17 @@
 """Witness extraction from low-energy states, and the POVM verifier.
 
-The extraction map undoes the history correlation: pull the state back
-through the history transform and keep the input register. Both steps and
-the energy run on the state's square-root factor F (rho = F F^dag): the
-inverse clock-controlled gates act on the columns of F, the input-register
-trace is A A^dag for a reshape A of the pulled-back factor, and tr(rho H)
-sums <f|H f> with a matrix-free H. No 2^N x 2^N matrix is formed, only
-the 2^n x 2^n witness on the input register. For the verifier,
-a term of weight w_j is drawn with probability w_j / total_weight and its
-matrix measured as a two-outcome POVM, so the overall acceptance is
+prepare_witness cools the legal-clock restriction H' of the (replicated)
+circuit, clockham.legal_hamiltonian: the clock penalty -> infinity limit of
+the compiled Hamiltonian, already in the history frame, of dimension
+2^w (L+1) instead of 2^(w+L). A low-energy source maps H' to a square-root
+factor F of a state on it (rho = F F^dag); the energy is <F|H' F>, and the
+input-register trace of F F^dag is A A^dag for a reshape A of F. No 2^N
+register is compiled, assembled or pulled back. extract_witness takes a
+user's state on the full compiled register instead: its factor is pulled
+back through the history transform W, and the same trace follows. Only the
+2^n x 2^n witness on the input register is ever formed as a matrix. For the
+verifier, a term of weight w_j is drawn with probability w_j / total_weight
+and its matrix measured as a two-outcome POVM, so the overall acceptance is
 1 - tr(rho H) / total_weight.
 """
 
@@ -24,7 +27,8 @@ from .errors import ConsistencyError, ValidationError
 from .qcore import DensityMatrix, RegisterLayout, named_stream
 from .circuit import Circuit, Gate, accept_probability, optimal_witness
 from .clockham import (
-    LocalHamiltonian, compile_circuit, history_pull_back, term_expectation,
+    LocalHamiltonian, compile_circuit, history_pull_back, legal_hamiltonian,
+    projection_leak, term_expectation,
 )
 from .spectral import matvec
 
@@ -54,6 +58,8 @@ class WitnessResult(NamedTuple):
     flags: tuple                # subset of {"no-witness-regime", "degenerate"}
     k: int
     seed: int
+    leak: float = 0.0           # projection_leak of the default compiled H when
+                                # the energy was taken on the legal restriction
 
 
 def hamiltonian_energy(rho: DensityMatrix, h: LocalHamiltonian) -> float:
@@ -65,23 +71,23 @@ def hamiltonian_energy(rho: DensityMatrix, h: LocalHamiltonian) -> float:
     return float(np.vdot(f, matvec(h, f)).real)
 
 
-def _witness_tail(rho: DensityMatrix, c: Circuit, meta: Circuit,
+def _witness_tail(f: np.ndarray, c: Circuit, meta: Circuit,
                   pick: int | None = None):
-    """Read an input witness of c out of a state of meta's register.
+    """Read an input witness of c out of a history-frame factor F of meta.
 
-    meta is c or its k-copy replica. rho's factor F is pulled back to
-    W^dag F through meta's history transform W. The trace of
-    W^dag F F^dag W onto input block i is A A^dag, where A is W^dag F
-    reshaped so that block i's qubits index the rows. The witness is the
-    uniform mixture over the k blocks, or block `pick` alone. Returns
-    (witness, acceptance of c on it).
+    meta is c or its k-copy replica. F's rows lead with meta's input and
+    ancilla register x: x (L+1) + t for a legal_hamiltonian factor, or x
+    2^L + clock bits for a full-register factor pulled back through W. The
+    trace of F F^dag onto input block i is A A^dag, where A is F reshaped
+    so that block i's qubits index the rows. The witness is the uniform
+    mixture over the k blocks, or block `pick` alone. Returns (witness,
+    acceptance of c on it).
     """
-    pulled = history_pull_back(meta, rho.factor)
     n = c.n_input
     blocks = range(meta.n_input // n) if pick is None else (pick,)
     sigma = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for i in blocks:
-        a = pulled.reshape(2 ** (i * n), 2 ** n, -1).swapaxes(0, 1).reshape(2 ** n, -1)
+        a = f.reshape(2 ** (i * n), 2 ** n, -1).swapaxes(0, 1).reshape(2 ** n, -1)
         sigma += a @ a.conj().T
     sigma = DensityMatrix(n, sigma / len(blocks))
     return sigma, accept_probability(c, sigma).accept_probability
@@ -104,7 +110,7 @@ def extract_witness(rho: DensityMatrix, c: Circuit,
         ham = compile_circuit(c)
     elif ham.num_qubits != expected:
         raise ValidationError("Hamiltonian register does not match the circuit")
-    sigma, acc = _witness_tail(rho, c, c, pick=0)
+    sigma, acc = _witness_tail(history_pull_back(c, rho.factor), c, c, pick=0)
     energy = hamiltonian_energy(rho, ham)
     return WitnessResult(sigma, acc, energy, (), 1, 0)
 
@@ -180,17 +186,37 @@ def replicate_circuit(c: Circuit, k: int):
     return meta, accepts
 
 
-LowEnergySource = Callable[[LocalHamiltonian, float], DensityMatrix]
+LowEnergySource = Callable[[np.ndarray, float], np.ndarray]
+
+
+def _source_factor(f, dim: int) -> np.ndarray:
+    """A source's square-root factor: dim rows, finite, ||F||_F^2 = 1."""
+    f = np.asarray(f)
+    if f.ndim != 2 or f.shape[0] != dim or f.shape[1] < 1:
+        raise ValidationError(
+            f"low-energy source returned shape {f.shape}, want a factor with {dim} rows")
+    if not np.isfinite(f).all():
+        raise ValidationError("low-energy source returned a non-finite factor")
+    tr = np.vdot(f, f).real
+    if abs(tr - 1.0) > 1e-12:
+        raise ValidationError(f"low-energy source factor has trace {tr!r}, not 1 within 1e-12")
+    return f
 
 
 def prepare_witness(c: Circuit, params: WitnessParams, source: LowEnergySource,
-                    clock_penalty: float | None = None,
                     target_energy: float | None = None,
                     sample_register: bool = False) -> WitnessResult:
-    """Full pipeline: replicate, compile, cool, extract, restrict, grade.
+    """Full pipeline: replicate, restrict, cool, grade, extract.
 
     The k-copy meta-verifier carries one out-term per copy (the majority
     comparator itself is classical post-processing and is never compiled).
+    source(H', target) cools H' = legal_hamiltonian(meta, accepts), the
+    clock penalty -> infinity limit, and returns a square-root factor F
+    with rows indexed x (L+1) + t; thermal.ground_space_factor and
+    thermal.gibbs_factor fit. The energy is <F|H' F>, and result.leak is
+    projection_leak(meta, accepts): how far the compiled Hamiltonian's
+    ground energy at the default penalty L**12 may lie below H''s. For a
+    finite penalty, compile meta and call extract_witness on its state.
     The witness is the uniform mixture over the k input sub-registers, or
     one seeded choice when sample_register is set. When the circuit has no
     witness (max acceptance <= epsilon) the result is flagged and the
@@ -205,15 +231,13 @@ def prepare_witness(c: Circuit, params: WitnessParams, source: LowEnergySource,
         flags.append("degenerate")
 
     meta, accepts = replicate_circuit(c, params.k)
-    h = compile_circuit(meta, clock_penalty=clock_penalty, accept_qubits=accepts)
+    h = legal_hamiltonian(meta, accepts)
     target = (1.0 / (2.0 * (meta.length + 1))
               if target_energy is None else float(target_energy))
     if not math.isfinite(target):
         raise ValidationError(f"target energy {target} must be finite")
-    rho = source(h, target)
-    if not isinstance(rho, DensityMatrix) or rho.num_qubits != h.num_qubits:
-        raise ValidationError("low-energy source returned a mismatched state")
-    energy = hamiltonian_energy(rho, h)
+    f = _source_factor(source(h, target), len(h))
+    energy = float(np.vdot(f, h @ f).real)
     if not no_witness and energy > target + 1e-9:
         raise ConsistencyError(
             f"low-energy source achieved {energy!r}, above target {target!r}"
@@ -222,8 +246,9 @@ def prepare_witness(c: Circuit, params: WitnessParams, source: LowEnergySource,
     pick = None
     if sample_register:
         pick = int(named_stream(params.seed, "register-choice").integers(params.k))
-    sigma, acc = _witness_tail(rho, c, meta, pick)
-    return WitnessResult(sigma, acc, energy, tuple(flags), params.k, params.seed)
+    sigma, acc = _witness_tail(f, c, meta, pick)
+    return WitnessResult(sigma, acc, energy, tuple(flags), params.k, params.seed,
+                         projection_leak(meta, accepts))
 
 
 def sufficient_copies(delta: float) -> int:

@@ -152,6 +152,22 @@ def history_transform_oracle(c: Circuit) -> np.ndarray:
     return w
 
 
+def legal_oracle(c: Circuit, accepts) -> np.ndarray:
+    """Legal-clock restriction of the compiled Hamiltonian in the history
+    frame, written from scratch: the independent dense assembly of
+    compile_circuit(c, accept_qubits=accepts), conjugated by
+    history_transform_oracle(c), at the rows and columns of the legal clock
+    states, ordered x (L+1) + t. The clock terms vanish there, whatever the
+    penalty."""
+    h = qclock.compile_circuit(c, accept_qubits=accepts)
+    w = history_transform_oracle(c)
+    length = c.length
+    legal = [x * 2 ** length + sum(1 << (length - 1 - s) for s in range(t))
+             for x in range(2 ** (c.n_input + c.n_ancilla))
+             for t in range(length + 1)]
+    return (w.conj().T @ assemble_oracle(h) @ w)[np.ix_(legal, legal)]
+
+
 def partial_trace_oracle(rho: np.ndarray, keep, n: int) -> np.ndarray:
     """Reduced matrix on the sorted qubits in `keep`, by index arithmetic
     over all basis pairs (qubit 0 is the most significant bit)."""

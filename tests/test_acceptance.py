@@ -28,12 +28,6 @@ def report(num: int, name: str, ok: bool, detail: str = ""):
     assert ok, f"criterion {num:02d} ({name}) failed: {detail}"
 
 
-def outer(state):
-    return q.DensityMatrix(
-        state.num_qubits,
-        np.outer(state.amplitudes, state.amplitudes.conj()))
-
-
 def test_criterion_01_history_energy_identity():
     t0 = time.monotonic()
     rng = rng_for("acc-energy")
@@ -45,8 +39,8 @@ def test_criterion_01_history_energy_identity():
                            length=int(rng.integers(1, 6)))
         inp = random_pure_state(rng, n)
         eta = q.history_state(c, inp)
-        energy = q.hamiltonian_energy(outer(eta), q.compile_circuit(c))
-        p = q.accept_probability(c, outer(inp)).accept_probability
+        energy = q.hamiltonian_energy(eta.density(), q.compile_circuit(c))
+        p = q.accept_probability(c, inp.density()).accept_probability
         worst = max(worst, abs(energy - (1 - p) / (c.length + 1)))
     elapsed = time.monotonic() - t0
     report(1, "history energy identity",
@@ -64,7 +58,7 @@ def test_criterion_02_perfect_witness_ground():
         h = q.compile_circuit(c)
         assert h.num_qubits <= 10
         rep = q.min_eigenvalue(h, method="dense")
-        res = q.extract_witness(outer(rep.ground_state), c, ham=h)
+        res = q.extract_witness(rep.ground_state.density(), c, ham=h)
         per_instance = time.monotonic() - t0
         good = (rep.min_eigenvalue <= 1e-9
                 and res.accept_probability >= 0.999

@@ -107,6 +107,65 @@ def test_witness_gibbs_source(circuit_file, capsys):
     assert "accept_probability" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["witness", "{c}", "--source", "gibbs:abc"], "bad gibbs source temperature 'abc'"),
+    (["witness", "{c}", "--source", "gibbs:inf"], "gibbs source temperature inf must be finite"),
+    (["witness", "{c}", "--source", "gibbs:nan"], "gibbs source temperature nan must be finite"),
+    (["gibbs", "{h}", "--temp", "inf"], "temperature inf must be > 0 and finite"),
+    (["gibbs", "{h}", "--temp", "0.1,nan"], "temperature nan must be > 0 and finite"),
+], ids=["source-abc", "source-inf", "source-nan", "temp-inf", "temp-nan"])
+def test_non_finite_temperatures_exit_2(argv, message, circuit_file, ham_file, capsys):
+    argv = [a.format(c=circuit_file, h=ham_file) for a in argv]
+    assert main(argv) == 2
+    cap = capsys.readouterr()
+    assert message in cap.err
+    assert cap.out == ""
+    with pytest.raises(q.ValidationError):
+        q.Temperature(float("inf"))
+
+
+def test_witness_prints_the_projection_leak(tmp_path, capsys):
+    # two H steps on one input: ||H1|| <= 1 + 3/2 * 2 = 4 and J = 2**12;
+    # the leak goes to stderr only
+    two_step = tmp_path / "two.qc"
+    two_step.write_text(CIRCUIT + "gate H 0\n")
+    assert main(["witness", str(two_step)]) == 0
+    cap = capsys.readouterr()
+    assert f"within {16 / (4096 - 8):.3e} below" in cap.err
+    assert "leak" not in cap.out and "within" not in cap.out
+
+
+# 9-qubit bench-size circuits: 3 inputs and L = 6 (perfect), 2 inputs, 1
+# ancilla and L = 6 (all-reject: its accept ancilla is never touched)
+NINE_QUBIT_CIRCUITS = {
+    "perfect": ("n_input 3\nn_ancilla 0\naccept 2\nepsilon 0.25\n"
+                "gate H 0\ngate CNOT 0 1\ngate T 1\ngate CZ 1 2\ngate S 2\ngate H 2\n"),
+    "all-reject": ("n_input 2\nn_ancilla 1\naccept 2\nepsilon 0.25\n"
+                   "gate H 0\ngate CNOT 0 1\ngate T 1\ngate S 0\ngate H 1\ngate CZ 0 1\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NINE_QUBIT_CIRCUITS))
+def test_witness_stdout_independent_of_blas_threads(name, tmp_path):
+    circuit = tmp_path / "c.qc"
+    circuit.write_text(NINE_QUBIT_CIRCUITS[name])
+    outs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qclock.cli", "witness", str(circuit), "--seed", "3"],
+            capture_output=True, cwd=tmp_path, env=checkout_env(OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    report = dict(line.split(" ", 1) for line in outs[0].decode().splitlines()
+                  if line.split(" ", 1)[0] in ("accept_probability", "flags"))
+    acc = float(report["accept_probability"])
+    if name == "perfect":
+        assert abs(acc - 1.0) <= 1e-12
+    else:
+        assert acc <= 1e-12 and "no-witness-regime" in report["flags"]
+
+
 def test_witness_bad_source(circuit_file, capsys):
     assert main(["witness", circuit_file, "--source", "what"]) == 2
     assert "unknown source" in capsys.readouterr().err
@@ -228,9 +287,8 @@ def test_exit_code_parse_error(tmp_path, capsys):
     # a non-finite clock penalty is rejected before any term carries it
     two_step = tmp_path / "two.qc"
     two_step.write_text(CIRCUIT + "gate H 0\n")
-    for cmd in ("compile", "witness"):
-        assert main([cmd, str(two_step), "--clock-penalty", "inf"]) == 2
-        assert "clock penalty inf must be positive and finite" in capsys.readouterr().err
+    assert main(["compile", str(two_step), "--clock-penalty", "inf"]) == 2
+    assert "clock penalty inf must be positive and finite" in capsys.readouterr().err
 
 
 def test_exit_code_term_count_past_file(tmp_path, capsys):

@@ -7,7 +7,7 @@ from qclock.clockham import history_transform
 
 from conftest import (
     all_reject_circuit, assemble_oracle, history_transform_oracle,
-    random_circuit, random_pure_state, rng_for, unitary_oracle,
+    legal_oracle, random_circuit, random_pure_state, rng_for, unitary_oracle,
 )
 
 
@@ -181,14 +181,8 @@ def test_history_energy_identity_random_family():
         c = random_circuit(rng)
         inp = random_pure_state(rng, c.n_input)
         eta = q.history_state(c, inp)
-        rho = q.DensityMatrix(eta.num_qubits,
-                              np.outer(eta.amplitudes, eta.amplitudes.conj()))
-        h = q.compile_circuit(c)
-        energy = q.hamiltonian_energy(rho, h)
-        p = q.accept_probability(
-            c, q.DensityMatrix(c.n_input,
-                               np.outer(inp.amplitudes, inp.amplitudes.conj()))
-        ).accept_probability
+        energy = q.hamiltonian_energy(eta.density(), q.compile_circuit(c))
+        p = q.accept_probability(c, inp.density()).accept_probability
         assert abs(energy - (1 - p) / (c.length + 1)) < 1e-9
 
 
@@ -236,6 +230,32 @@ def test_conjugated_propagation_is_identity_tensor_walk():
             e[t, t + 1] = e[t + 1, t] = -0.5
     want = np.kron(np.eye(2 ** n_data), e)
     np.testing.assert_allclose(reduced, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+@pytest.mark.parametrize("ancillas", [0, 1, 2, 3])
+def test_legal_hamiltonian_matches_oracle(ancillas, copies):
+    # with 2-3 ancillas P = sum |1><1| has levels 0..m; with two copies Q
+    # sums two out-terms and has levels 0..2
+    rng = rng_for(f"legal-{ancillas}-{copies}")
+    for _ in range(2):
+        c = random_circuit(rng, n_input=2 if copies == 1 else 1,
+                           n_ancilla=ancillas, length=3 if copies == 1 else 1)
+        meta, accepts = q.replicate_circuit(c, copies)
+        got = q.legal_hamiltonian(meta, accepts)
+        np.testing.assert_allclose(got, legal_oracle(meta, accepts), rtol=0, atol=1e-12)
+    if copies == 1:
+        np.testing.assert_array_equal(q.legal_hamiltonian(c), got)
+
+
+def test_legal_hamiltonian_validation():
+    c = small_circuit()
+    with pytest.raises(q.ValidationError, match="accept qubit 2 outside register"):
+        q.legal_hamiltonian(c, accept_qubits=(2,))
+    # 2^11 data values times 3 clock values: 6144 dimensions
+    wide = q.Circuit(q.RegisterLayout(1, 10), small_circuit().gates, 1)
+    with pytest.raises(q.ResourceLimitError, match="dimension 6144 exceeds"):
+        q.legal_hamiltonian(wide)
 
 
 def test_all_reject_instances_barely_move():

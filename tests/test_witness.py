@@ -4,18 +4,14 @@ import pytest
 import qclock as q
 from qclock import witness
 
+from qclock import clockham, spectral, thermal
+
 from conftest import (
     accept_oracle, all_reject_circuit, assemble_oracle,
-    history_transform_oracle, partial_trace_oracle, random_circuit,
-    random_density_matrix, random_povm_hamiltonian, random_pure_state,
-    rng_for,
+    history_transform_oracle, legal_oracle, partial_trace_oracle,
+    perfect_circuit, random_circuit, random_density_matrix,
+    random_povm_hamiltonian, random_pure_state, rng_for,
 )
-
-
-def outer(state):
-    return q.DensityMatrix(
-        state.num_qubits,
-        np.outer(state.amplitudes, state.amplitudes.conj()))
 
 
 def test_hamiltonian_energy_matches_assembled():
@@ -34,11 +30,11 @@ def test_extract_witness_recovers_history_input():
     c = random_circuit(rng, n_input=2, n_ancilla=1, length=3)
     inp = random_pure_state(rng, 2)
     eta = q.history_state(c, inp)
-    res = q.extract_witness(outer(eta), c)
+    res = q.extract_witness(eta.density(), c)
     np.testing.assert_allclose(
         res.witness.entries,
         np.outer(inp.amplitudes, inp.amplitudes.conj()), atol=1e-12)
-    p_direct = q.accept_probability(c, outer(inp)).accept_probability
+    p_direct = q.accept_probability(c, inp.density()).accept_probability
     assert abs(res.accept_probability - p_direct) < 1e-12
 
 
@@ -81,8 +77,7 @@ def test_witness_tail_two_copies_matches_dense_oracle(pick):
     meta, _ = q.replicate_circuit(c, 2)
     total = meta.n_input + meta.n_ancilla + meta.length
     f = random_factor(rng, total, 2)
-    sigma, acc = witness._witness_tail(
-        q.DensityMatrix(total, factor=f), c, meta, pick)
+    sigma, acc = witness._witness_tail(q.history_pull_back(meta, f), c, meta, pick)
     want = dense_witness_oracle(f, c, meta, [0, 1] if pick is None else [pick])
     np.testing.assert_allclose(sigma.entries, want, atol=1e-12)
     assert abs(acc - accept_oracle(c, want)) < 1e-12
@@ -93,7 +88,7 @@ def test_extract_witness_ground_state_high_acceptance():
     c = random_circuit(rng, n_input=2, n_ancilla=0, length=3)
     h = q.compile_circuit(c)
     rep = q.min_eigenvalue(h, method="dense")
-    res = q.extract_witness(outer(rep.ground_state), c, ham=h)
+    res = q.extract_witness(rep.ground_state.density(), c, ham=h)
     assert res.accept_probability >= 0.999
     assert res.energy is not None and res.energy < 1e-3
 
@@ -148,7 +143,7 @@ def test_replicate_circuit_blocks():
     # each copy acts on its own block: product input gives the same
     # per-copy acceptance as the base circuit
     inp = random_pure_state(rng, 1)
-    base = q.accept_probability(c, outer(inp)).accept_probability
+    base = q.accept_probability(c, inp.density()).accept_probability
     joint = np.array([1.0 + 0j])
     for _ in range(3):
         joint = np.kron(joint, inp.amplitudes)
@@ -171,12 +166,14 @@ def test_replicate_identity_for_single_copy():
         q.replicate_circuit(c, 0)
 
 
+def ground_source(h, target):
+    return q.ground_space_factor(h)
+
+
 def test_prepare_witness_ground_source():
     rng = rng_for("prep")
     c = random_circuit(rng, n_input=2, n_ancilla=0, length=2)
-    res = q.prepare_witness(
-        c, q.WitnessParams(k=1, seed=0),
-        lambda h, target: q.ground_projector_state(h))
+    res = q.prepare_witness(c, q.WitnessParams(k=1, seed=0), ground_source)
     assert res.accept_probability > 0.995
     assert res.k == 1
     assert res.witness.num_qubits == 2
@@ -185,18 +182,14 @@ def test_prepare_witness_ground_source():
 def test_prepare_witness_multi_copy_mixture():
     rng = rng_for("prep-k")
     c = random_circuit(rng, n_input=1, n_ancilla=0, length=1)
-    res = q.prepare_witness(
-        c, q.WitnessParams(k=2, seed=0),
-        lambda h, target: q.ground_projector_state(h))
+    res = q.prepare_witness(c, q.WitnessParams(k=2, seed=0), ground_source)
     assert res.witness.num_qubits == 1
     assert res.accept_probability > 0.99
 
 
 def test_prepare_witness_flags_no_witness_regime():
     c = all_reject_circuit(rng_for("prep-reject"), 1, 1)
-    res = q.prepare_witness(
-        c, q.WitnessParams(k=1, seed=0),
-        lambda h, target: q.ground_projector_state(h))
+    res = q.prepare_witness(c, q.WitnessParams(k=1, seed=0), ground_source)
     assert "no-witness-regime" in res.flags
     # max acceptance is 0, so whatever came out accepts with probability ~0
     assert res.accept_probability < 1e-9
@@ -205,8 +198,7 @@ def test_prepare_witness_flags_no_witness_regime():
 def test_prepare_witness_enforces_energy_target():
     rng = rng_for("prep-hot")
     c = random_circuit(rng, n_input=1, n_ancilla=0, length=1)
-    maximally_mixed = lambda h, target: q.DensityMatrix(
-        h.num_qubits, np.eye(2 ** h.num_qubits) / 2 ** h.num_qubits)
+    maximally_mixed = lambda h, target: np.eye(len(h)) / np.sqrt(len(h))
     with pytest.raises(q.ConsistencyError):
         q.prepare_witness(c, q.WitnessParams(k=1, seed=0),
                           maximally_mixed)
@@ -215,12 +207,125 @@ def test_prepare_witness_enforces_energy_target():
 def test_prepare_witness_sampled_register_deterministic():
     rng = rng_for("prep-sample")
     c = random_circuit(rng, n_input=1, n_ancilla=0, length=1)
-    src = lambda h, target: q.ground_projector_state(h)
-    r1 = q.prepare_witness(c, q.WitnessParams(k=2, seed=5), src,
+    r1 = q.prepare_witness(c, q.WitnessParams(k=2, seed=5), ground_source,
                            sample_register=True)
-    r2 = q.prepare_witness(c, q.WitnessParams(k=2, seed=5), src,
+    r2 = q.prepare_witness(c, q.WitnessParams(k=2, seed=5), ground_source,
                            sample_register=True)
     np.testing.assert_array_equal(r1.witness.entries, r2.witness.entries)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda h: np.ones(len(h)) / np.sqrt(len(h)), "want a factor with"),
+    (lambda h: np.ones((len(h) + 1, 1)) / np.sqrt(len(h) + 1), "want a factor with"),
+    (lambda h: np.ones((len(h), 1)), "not 1 within 1e-12"),
+    (lambda h: np.full((len(h), 1), np.nan), "non-finite"),
+], ids=["vector", "rows", "trace", "nan"])
+def test_prepare_witness_checks_the_source_factor(bad, message):
+    c = random_circuit(rng_for("prep-bad"), n_input=1, n_ancilla=1, length=2)
+    with pytest.raises(q.ValidationError, match=message):
+        q.prepare_witness(c, q.WitnessParams(k=1, seed=0),
+                          lambda h, target: bad(h))
+
+
+def embed_legal_factor(f, meta):
+    """Rows x (L+1) + t of a legal-clock factor, moved to rows x 2^L + the
+    unary clock bits of t on the full register; the other rows are 0."""
+    width, length = meta.n_input + meta.n_ancilla, meta.length
+    rows = [x * 2 ** length + int("1" * t + "0" * (length - t) or "0", 2)
+            for x in range(2 ** width) for t in range(length + 1)]
+    full = np.zeros((2 ** (width + length), f.shape[1]), dtype=complex)
+    full[rows] = f
+    return full
+
+
+@pytest.mark.parametrize("k, pick", [(1, None), (2, None), (2, 0), (2, 1)])
+def test_prepare_witness_matches_legal_oracle(k, pick):
+    # the ground space of the conftest legal oracle, mixed uniformly and
+    # traced onto the input blocks by index loops
+    rng = rng_for(f"prep-oracle-{k}-{pick}")
+    c = random_circuit(rng, n_input=1, n_ancilla=1, length=2)
+    meta, accepts = q.replicate_circuit(c, k)
+    evals, evecs = np.linalg.eigh(legal_oracle(meta, accepts))
+    ground = evecs[:, evals - evals[0] <= 1e-10]
+    f = embed_legal_factor(ground / np.sqrt(ground.shape[1]), meta)
+    total = meta.n_input + meta.n_ancilla + meta.length
+    blocks = range(k) if pick is None else [pick]
+    want = sum(partial_trace_oracle(f @ f.conj().T, range(i, i + 1), total)
+               for i in blocks) / len(blocks)
+    seed = 0
+    if pick is not None:    # find the seed whose register choice is `pick`
+        seed = next(s for s in range(100) if q.named_stream(
+            s, "register-choice").integers(k) == pick)
+    res = q.prepare_witness(c, q.WitnessParams(k=k, seed=seed), ground_source,
+                            sample_register=pick is not None)
+    np.testing.assert_allclose(res.witness.entries, want, atol=1e-12)
+    assert abs(res.accept_probability - accept_oracle(c, want)) < 1e-12
+    assert abs(res.energy - evals[0]) < 1e-12
+
+
+def test_prepare_witness_never_touches_the_full_register(monkeypatch):
+    # neither source compiles, assembles or pulls back the 2^N register
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-register route called")
+
+    for module, name in ((witness, "compile_circuit"), (clockham, "compile_circuit"),
+                         (witness, "history_pull_back"),
+                         (clockham, "history_pull_back"), (thermal, "assemble"),
+                         (spectral, "assemble"), (witness, "hamiltonian_energy")):
+        monkeypatch.setattr(module, name, refuse)
+    c = random_circuit(rng_for("prep-legal-only"), n_input=2, n_ancilla=1, length=3)
+    for source in (ground_source, lambda h, target: q.gibbs_factor(h, 0.01)[0]):
+        res = q.prepare_witness(c, q.WitnessParams(k=2, seed=0), source)
+        assert res.witness.num_qubits == 2
+
+
+def test_two_copy_witness_past_the_register_cap():
+    # k = 2 copies of a 3-input, L = 8 verifier: a 6 + 16 = 22-qubit
+    # compiled register, which compile_circuit refuses; its legal
+    # restriction has 64 * 17 = 1088 dimensions
+    rng = rng_for("prep-k2-22")
+    params = q.WitnessParams(k=2, seed=0)
+    c = perfect_circuit(rng, 3, 8)
+    meta, accepts = q.replicate_circuit(c, 2)
+    assert meta.n_input + meta.n_ancilla + meta.length == 22
+    with pytest.raises(q.ResourceLimitError):
+        q.compile_circuit(meta, accept_qubits=accepts)
+    res = q.prepare_witness(c, params, ground_source)
+    assert res.accept_probability >= 1 - 1e-12
+    assert abs(res.energy) < 1e-12
+    assert "no-witness-regime" not in res.flags
+    # an all-reject verifier needs an ancilla: 2 inputs + 1 ancilla, L = 8
+    c = all_reject_circuit(rng, 2, 8)
+    meta, _ = q.replicate_circuit(c, 2)
+    assert meta.n_input + meta.n_ancilla + meta.length == 22
+    res = q.prepare_witness(c, params, ground_source)
+    assert res.accept_probability <= 1e-12
+    assert "no-witness-regime" in res.flags
+
+
+def test_prepare_witness_refuses_legal_dimension_past_the_cap():
+    # three copies: 512 * 25 = 12800 legal dimensions
+    c = perfect_circuit(rng_for("prep-k3"), 3, 8)
+    with pytest.raises(q.ResourceLimitError, match="dense cap"):
+        q.prepare_witness(c, q.WitnessParams(k=3, seed=0), ground_source)
+
+
+def test_prepare_witness_reports_the_projection_leak():
+    # 1 input, 1 ancilla, L = 2: ||H1|| <= 1 + 1 + 3 = 5 and J = 2**12, so
+    # the leak is 25 / (4096 - 10); the compiled ground energy lies within
+    # it below the legal one
+    c = random_circuit(rng_for("prep-leak"), n_input=1, n_ancilla=1, length=2)
+    res = q.prepare_witness(c, q.WitnessParams(k=1, seed=0), ground_source)
+    assert res.leak == 25.0 / (4096.0 - 10.0)
+    legal = np.linalg.eigvalsh(legal_oracle(c, (c.accept_qubit,)))[0]
+    full = np.linalg.eigvalsh(assemble_oracle(q.compile_circuit(c)))[0]
+    assert abs(res.energy - legal) < 1e-12
+    assert legal - res.leak <= full <= legal + 1e-12
+    # two copies: 2 ancillas, 2 out-terms, L = 4, so ||H1|| <= 10; and no
+    # bound at all while J <= 2 ||H1||
+    meta, accepts = q.replicate_circuit(c, 2)
+    assert q.projection_leak(meta, accepts) == 100.0 / (4.0 ** 12 - 20.0)
+    assert q.projection_leak(c, clock_penalty=10.0) == float("inf")
 
 
 def test_sufficient_copies_frozen_values():
