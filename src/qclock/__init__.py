@@ -25,7 +25,7 @@ from .circuit import (
 from .clockham import (
     ClockState, LocalHamiltonian, LocalTerm, PARTS, compile_circuit,
     history_pull_back, history_state, legal_hamiltonian, parse_hamiltonian,
-    projection_leak, serialize_hamiltonian, term_expectation, unary_encode,
+    serialize_hamiltonian, term_expectation, unary_encode,
 )
 from .spectral import (
     PromiseGap, SpectralReport, assemble, check_promise, matvec,
@@ -71,7 +71,7 @@ __all__ = [
     "naive_restriction_reject", "operator_norm", "optimal_witness",
     "parse_circuit", "parse_hamiltonian", "partial_trace",
     "povm_verifier_accept", "povm_verifier_sample", "prepare_witness",
-    "projection_leak", "propagation_spectrum", "read_matrix", "read_state",
+    "propagation_spectrum", "read_matrix", "read_state",
     "replicate_circuit",
     "serialize_circuit", "serialize_hamiltonian", "serialize_report",
     "simulate_majority_vote", "state_digest", "sufficient_copies",

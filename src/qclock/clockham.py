@@ -24,13 +24,13 @@ instances sit a hair below zero, bounded by -O(L)/penalty).
 
 legal_hamiltonian gives the penalty -> infinity limit without the 2^N
 register: in + out + prop on the L+1 legal clock states, in the history
-frame, as a dense matrix of dimension 2^(n+m) (L+1). projection_leak bounds
-how far the compiled ground energy at a finite penalty lies below it.
+frame, as a dense matrix of dimension 2^(n+m) (L+1). The compiled ground
+energy at a finite penalty J lies at most the Kempe-Kitaev-Regev leak
+||H1||^2 / (J - 2 ||H1||) below it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +53,7 @@ _LOWER = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
 __all__ = [
     "PARTS", "LocalTerm", "LocalHamiltonian", "ClockState", "unary_encode",
     "compile_circuit", "history_pull_back", "history_state",
-    "legal_hamiltonian", "projection_leak", "term_expectation",
+    "legal_hamiltonian", "term_expectation",
     "parse_hamiltonian", "serialize_hamiltonian",
 ]
 
@@ -256,8 +256,9 @@ def legal_hamiltonian(c: Circuit, accept_qubits=None) -> np.ndarray:
     A is the path walk (1/2 per step on |t-1>-|t>), P counts the ancillas
     reading 1, and Q = U^dag (sum over accept qubits |0><0|) U. The clock
     terms vanish on legal states, so H' is the clock_penalty -> infinity
-    limit of the compiled Hamiltonian (see projection_leak), and its
-    eigenvectors are already pulled back through W. Dimensions above
+    limit of the compiled Hamiltonian: at penalty J the compiled ground
+    energy lies at most the Kempe-Kitaev-Regev leak ||H1||^2 / (J - 2 ||H1||)
+    below H''s. Its eigenvectors are already pulled back through W. Dimensions above
     2**DENSE_QUBIT_CAP raise ResourceLimitError.
     """
     width, length = c.n_input + c.n_ancilla, c.length
@@ -281,21 +282,6 @@ def legal_hamiltonian(c: Circuit, accept_qubits=None) -> np.ndarray:
     h[x, 0, x, 0] += ancilla_ones
     h[:, length, :, length] += 0.5 * (q + q.conj().T)
     return h.reshape(dim, dim)
-
-
-def projection_leak(c: Circuit, accept_qubits=None,
-                    clock_penalty: float | None = None) -> float:
-    """Kempe-Kitaev-Regev projection-lemma bound ||H1||^2 / (J - 2 ||H1||)
-    on how far the ground energy of compile_circuit(c, clock_penalty=J,
-    accept_qubits=...) lies below that of legal_hamiltonian (never above:
-    legal states carry no clock energy). ||H1|| is bounded by the summed
-    in, out and prop weights, m + #accept + 3L/2; J defaults to L**12.
-    inf when J <= 2 ||H1||, where the lemma gives no bound.
-    """
-    length = c.length
-    penalty = float(length ** 12) if clock_penalty is None else float(clock_penalty)
-    h1 = c.n_ancilla + len(_accept_qubits(c, accept_qubits)) + 1.5 * length
-    return h1 ** 2 / (penalty - 2 * h1) if penalty > 2 * h1 else math.inf
 
 
 def history_pull_back(c: Circuit, vecs: np.ndarray) -> np.ndarray:

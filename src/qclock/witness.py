@@ -28,7 +28,7 @@ from .qcore import DensityMatrix, RegisterLayout, named_stream
 from .circuit import Circuit, Gate, accept_probability, optimal_witness
 from .clockham import (
     LocalHamiltonian, compile_circuit, history_pull_back, legal_hamiltonian,
-    projection_leak, term_expectation,
+    term_expectation,
 )
 from .spectral import matvec
 
@@ -58,7 +58,7 @@ class WitnessResult(NamedTuple):
     flags: tuple                # subset of {"no-witness-regime", "degenerate"}
     k: int
     seed: int
-    leak: float = 0.0           # projection_leak of the default compiled H when
+    leak: float = 0.0           # _projection_leak of the default compiled H when
                                 # the energy was taken on the legal restriction
 
 
@@ -203,6 +203,19 @@ def _source_factor(f, dim: int) -> np.ndarray:
     return f
 
 
+def _projection_leak(c: Circuit, accept_qubits) -> float:
+    """Kempe-Kitaev-Regev projection-lemma bound ||H1||^2 / (J - 2 ||H1||)
+    on how far the ground energy of compile_circuit(c, accept_qubits=...)
+    at its default penalty J = L**12 lies below that of legal_hamiltonian
+    (never above: legal states carry no clock energy). ||H1|| is bounded by
+    the summed in, out and prop weights, m + #accept + 3L/2. inf when
+    J <= 2 ||H1||, where the lemma gives no bound.
+    """
+    penalty = float(c.length ** 12)
+    h1 = c.n_ancilla + len(accept_qubits) + 1.5 * c.length
+    return h1 ** 2 / (penalty - 2 * h1) if penalty > 2 * h1 else math.inf
+
+
 def prepare_witness(c: Circuit, params: WitnessParams, source: LowEnergySource,
                     target_energy: float | None = None,
                     sample_register: bool = False) -> WitnessResult:
@@ -214,7 +227,7 @@ def prepare_witness(c: Circuit, params: WitnessParams, source: LowEnergySource,
     clock penalty -> infinity limit, and returns a square-root factor F
     with rows indexed x (L+1) + t; thermal.ground_space_factor and
     thermal.gibbs_factor fit. The energy is <F|H' F>, and result.leak is
-    projection_leak(meta, accepts): how far the compiled Hamiltonian's
+    _projection_leak(meta, accepts): how far the compiled Hamiltonian's
     ground energy at the default penalty L**12 may lie below H''s. For a
     finite penalty, compile meta and call extract_witness on its state.
     The witness is the uniform mixture over the k input sub-registers, or
@@ -248,7 +261,7 @@ def prepare_witness(c: Circuit, params: WitnessParams, source: LowEnergySource,
         pick = int(named_stream(params.seed, "register-choice").integers(params.k))
     sigma, acc = _witness_tail(f, c, meta, pick)
     return WitnessResult(sigma, acc, energy, tuple(flags), params.k, params.seed,
-                         projection_leak(meta, accepts))
+                         _projection_leak(meta, accepts))
 
 
 def sufficient_copies(delta: float) -> int:

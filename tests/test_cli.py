@@ -136,7 +136,10 @@ def test_witness_prints_the_projection_leak(tmp_path, capsys):
 
 
 # 9-qubit bench-size circuits: 3 inputs and L = 6 (perfect), 2 inputs, 1
-# ancilla and L = 6 (all-reject: its accept ancilla is never touched)
+# ancilla and L = 6 (all-reject: its accept ancilla is never touched). At
+# k = 1 their H' has 56 dimensions; the identity across thread counts is
+# measured at this size, not a general property (the ground-space mixture
+# is basis-free only up to rounding)
 NINE_QUBIT_CIRCUITS = {
     "perfect": ("n_input 3\nn_ancilla 0\naccept 2\nepsilon 0.25\n"
                 "gate H 0\ngate CNOT 0 1\ngate T 1\ngate CZ 1 2\ngate S 2\ngate H 2\n"),

@@ -321,11 +321,13 @@ def test_prepare_witness_reports_the_projection_leak():
     full = np.linalg.eigvalsh(assemble_oracle(q.compile_circuit(c)))[0]
     assert abs(res.energy - legal) < 1e-12
     assert legal - res.leak <= full <= legal + 1e-12
-    # two copies: 2 ancillas, 2 out-terms, L = 4, so ||H1|| <= 10; and no
-    # bound at all while J <= 2 ||H1||
-    meta, accepts = q.replicate_circuit(c, 2)
-    assert q.projection_leak(meta, accepts) == 100.0 / (4.0 ** 12 - 20.0)
-    assert q.projection_leak(c, clock_penalty=10.0) == float("inf")
+    # two copies: 2 ancillas, 2 out-terms, L = 4, so ||H1|| <= 10
+    res = q.prepare_witness(c, q.WitnessParams(k=2, seed=0), ground_source)
+    assert res.leak == 100.0 / (4.0 ** 12 - 20.0)
+    # L = 1 gives J = 1 <= 2 ||H1||, where the lemma gives no bound
+    one_step = perfect_circuit(rng_for("prep-leak-one-step"), 1, 1)
+    res = q.prepare_witness(one_step, q.WitnessParams(k=1, seed=0), ground_source)
+    assert res.leak == float("inf")
 
 
 def test_sufficient_copies_frozen_values():
