@@ -18,7 +18,7 @@ from .qcore import (
     write_state,
 )
 from .circuit import (
-    AcceptanceReport, Circuit, Gate, NAMED_GATES, OptimalWitness,
+    Circuit, Gate, NAMED_GATES, OptimalWitness,
     accept_probability, acceptance_operator, apply_gates, circuit_unitary,
     concatenate, optimal_witness, parse_circuit, serialize_circuit,
 )
@@ -42,7 +42,7 @@ from .amplify import (
     tail_bounds,
 )
 from .thermal import (
-    DecisionTemperature, EnergyBound, IsingBound, Temperature, ThermalReport,
+    DecisionTemperature, EnergyBound, Temperature, ThermalReport,
     cooling_temperature, decision_temperature, gibbs_decide, gibbs_factor,
     gibbs_reports, gibbs_state, ground_projector_state, ground_space_factor,
     ising_decision_temperature, mean_energy_bound,
@@ -51,9 +51,9 @@ from .thermal import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcceptanceReport", "AmplifyParams", "Circuit", "ClockState",
+    "AmplifyParams", "Circuit", "ClockState",
     "ConsistencyError", "ConvergenceError", "DecisionTemperature",
-    "DENSE_QUBIT_CAP", "DensityMatrix", "EnergyBound", "Gate", "IsingBound",
+    "DENSE_QUBIT_CAP", "DensityMatrix", "EnergyBound", "Gate",
     "LocalHamiltonian", "LocalTerm", "NAMED_GATES", "Operator",
     "OptimalWitness", "ParseError", "PARTS", "PromiseGap", "PureState",
     "QclockError", "QUBIT_CAP", "RegisterLayout", "ResourceLimitError",

@@ -18,7 +18,7 @@ from .errors import ParseError, ValidationError
 from .qcore import (
     DensityMatrix, Operator, PureState, RegisterLayout, _content_lines,
     _eigh, _entry_lines, _parse_entry_lines, apply_local, expectation,
-    fmt_float, state_digest,
+    fmt_float,
 )
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -119,11 +119,6 @@ class Circuit:
         return len(self.gates)
 
 
-class AcceptanceReport(NamedTuple):
-    accept_probability: float
-    input_state_digest: str
-
-
 class OptimalWitness(NamedTuple):
     state: PureState
     probability: float
@@ -151,15 +146,14 @@ def _accept_projector_diag(c: Circuit) -> np.ndarray:
     return bit.astype(float)
 
 
-def accept_probability(c: Circuit, rho_input: DensityMatrix) -> AcceptanceReport:
+def accept_probability(c: Circuit, rho_input: DensityMatrix) -> float:
     """P(accept qubit reads 1) after running c on rho_input with |0..0> ancillas."""
     if rho_input.num_qubits != c.n_input:
         raise ValidationError(
             f"input state has {rho_input.num_qubits} qubits, circuit expects {c.n_input}"
         )
     p = expectation(rho_input, acceptance_operator(c))
-    p = min(max(p, 0.0), 1.0)
-    return AcceptanceReport(p, state_digest(rho_input.entries))
+    return min(max(p, 0.0), 1.0)
 
 
 def acceptance_operator(c: Circuit) -> Operator:

@@ -116,10 +116,10 @@ def cmd_spectrum(args, tol) -> str:
 
 def _witness_source(spec: str, tol):
     if spec == "groundstate":
-        return lambda h, target: ground_space_factor(h, tol["degeneracy"])
+        return lambda h: ground_space_factor(h, tol["degeneracy"])
     if spec.startswith("gibbs:"):
         temp = Temperature(_finite(spec.split(":", 1)[1], "gibbs source temperature"))
-        return lambda h, target: gibbs_factor(h, temp)[0]
+        return lambda h: gibbs_factor(h, temp)[0]
     raise ValidationError(f"unknown source {spec!r}; use groundstate or gibbs:<T>")
 
 

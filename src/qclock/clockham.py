@@ -31,6 +31,7 @@ energy at a finite penalty J lies at most the Kempe-Kitaev-Regev leak
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,7 +199,7 @@ def compile_circuit(c: Circuit, clock_penalty: float | None = None,
     length = c.length
     layout = RegisterLayout(c.n_input, c.n_ancilla, length)
     _check_qubit_count(layout.total, QUBIT_CAP, "compile_circuit")
-    penalty = float(length ** 12) if clock_penalty is None else float(clock_penalty)
+    penalty = _default_penalty(length) if clock_penalty is None else float(clock_penalty)
     if not (penalty > 0 and np.isfinite(penalty)):
         raise ValidationError(f"clock penalty {penalty} must be positive and finite")
     accept_qubits = _accept_qubits(c, accept_qubits)
@@ -232,6 +233,23 @@ def compile_circuit(c: Circuit, clock_penalty: float | None = None,
         terms.append(LocalTerm("prop_hopping", 0.5, tuple(support), hop))
 
     return LocalHamiltonian(layout, tuple(terms))
+
+
+def _default_penalty(length: int) -> float:
+    return float(length ** 12)
+
+
+def _projection_leak(c: Circuit, accept_qubits) -> float:
+    """Kempe-Kitaev-Regev projection-lemma bound ||H1||^2 / (J - 2 ||H1||)
+    on how far the ground energy of compile_circuit(c, accept_qubits=...)
+    at its default penalty J = L**12 lies below that of legal_hamiltonian
+    (never above: legal states carry no clock energy). ||H1|| is bounded by
+    the summed in, out and prop weights, m + #accept + 3L/2. inf when
+    J <= 2 ||H1||, where the lemma gives no bound.
+    """
+    penalty = _default_penalty(c.length)
+    h1 = c.n_ancilla + len(accept_qubits) + 1.5 * c.length
+    return h1 ** 2 / (penalty - 2 * h1) if penalty > 2 * h1 else math.inf
 
 
 def _accept_qubits(c: Circuit, accept_qubits):

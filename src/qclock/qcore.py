@@ -49,6 +49,21 @@ def _check_qubit_count(num_qubits: int, cap: int, what: str):
         )
 
 
+def _check_factor(f, rows: int, what: str) -> np.ndarray:
+    """A square-root factor F of a state: 2-D with `rows` rows and at least
+    one column, finite, and tr(F F^dag) = ||F||_F^2 = 1 within 1e-12."""
+    f = np.asarray(f)
+    if f.ndim != 2 or f.shape[0] != rows or f.shape[1] < 1:
+        raise ValidationError(
+            f"{what}: got shape {f.shape}, want a factor with {rows} rows")
+    if not np.isfinite(f).all():
+        raise ValidationError(f"{what}: factor has a non-finite entry")
+    tr = np.vdot(f, f).real
+    if abs(tr - 1.0) > 1e-12:
+        raise ValidationError(f"{what}: trace ||F||^2 = {tr!r} is not 1 within 1e-12")
+    return f
+
+
 def _as_complex(a) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
     out = np.array(arr, dtype=complex, order="C")
@@ -116,16 +131,8 @@ class DensityMatrix:
         _check_qubit_count(self.num_qubits, DENSE_QUBIT_CAP, "DensityMatrix")
         dim = 2 ** self.num_qubits
         if "factor" in self.__dict__:
-            f = self.__dict__["factor"] = _as_complex(self.factor)
-            if f.ndim != 2 or f.shape[0] != dim or f.shape[1] < 1:
-                raise ValidationError(
-                    f"DensityMatrix: expected a factor with {dim} rows, got shape {f.shape}")
-            if not np.isfinite(f).all():
-                raise ValidationError("DensityMatrix: factor has a non-finite entry")
-            tr = np.vdot(f, f).real
-            if abs(tr - 1.0) > 1e-12:
-                raise ValidationError(
-                    f"DensityMatrix: trace ||F||^2 = {tr!r} is not 1 within 1e-12")
+            self.__dict__["factor"] = _check_factor(
+                _as_complex(self.factor), dim, "DensityMatrix")
             return
         m = self.__dict__["entries"] = _as_complex(self.entries)
         if m.shape != (dim, dim):

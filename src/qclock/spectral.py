@@ -82,8 +82,7 @@ def matvec(h: LocalHamiltonian, vec: np.ndarray) -> np.ndarray:
 
 
 def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
-                   seed: int = 0, maxiter: int | None = None,
-                   residual_target: float = 1e-8) -> SpectralReport:
+                   seed: int = 0, residual_target: float = 1e-8) -> SpectralReport:
     """Lowest k eigenvalues and the ground eigenvector.
 
     method: dense (exact, <= 12 qubits), iterative (matrix-free Lanczos,
@@ -123,8 +122,7 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
             try:
                 evals, evecs = scipy.sparse.linalg.eigsh(
                     op, k=kk, which="LA", v0=v0,
-                    maxiter=maxiter if maxiter is not None else 100 * dim,
-                    tol=0,
+                    maxiter=100 * dim, tol=0,
                 )
             except scipy.sparse.linalg.ArpackNoConvergence as exc:
                 best = None

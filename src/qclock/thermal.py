@@ -37,7 +37,7 @@ _GROUND_SUBSET = 8      # first subset size of the ground-space solve
 
 __all__ = [
     "Temperature", "ThermalReport", "EnergyBound", "DecisionTemperature",
-    "IsingBound", "gibbs_factor", "gibbs_state", "gibbs_reports",
+    "gibbs_factor", "gibbs_state", "gibbs_reports",
     "ground_projector_state", "ground_space_factor", "mean_energy_bound",
     "cooling_temperature", "decision_temperature",
     "ising_decision_temperature", "gibbs_decide",
@@ -71,12 +71,6 @@ class EnergyBound(NamedTuple):
 
 
 class DecisionTemperature(NamedTuple):
-    temperature: Temperature
-    cutoff: float
-    decision_energy: float
-
-
-class IsingBound(NamedTuple):
     temperature: Temperature
     cutoff: float
     decision_energy: float
@@ -186,6 +180,11 @@ def cooling_temperature(n: int, q: float) -> Temperature:
     return Temperature(1.0 / (2.0 * n * q * _LN2))
 
 
+def _decision_energy(length: int) -> float:
+    """The promise's decision energy d = 1/(2(L+1)) for a length-L clock."""
+    return 1.0 / (2.0 * (length + 1))
+
+
 def decision_temperature(epsilon: float, length: int, n: int) -> DecisionTemperature:
     """Temperature, cutoff and decision energy for promise classification.
 
@@ -199,12 +198,11 @@ def decision_temperature(epsilon: float, length: int, n: int) -> DecisionTempera
         raise ValidationError("length and n must be >= 1")
     t = (1.0 - 2.0 * epsilon) / (4.0 * _LN2 * (length + 1) * n)
     cutoff = (1.0 + 2.0 * epsilon) / (4.0 * (length + 1))
-    d = 1.0 / (2.0 * (length + 1))
-    return DecisionTemperature(Temperature(t), cutoff, d)
+    return DecisionTemperature(Temperature(t), cutoff, _decision_energy(length))
 
 
 def ising_decision_temperature(delta_e: float, n: int,
-                               ground_energy: float = 0.0) -> IsingBound:
+                               ground_energy: float = 0.0) -> DecisionTemperature:
     """Classical spin-glass variant: T = 1/(ln2 dE n), cutoff a + dE/4,
     decision at a + dE/2."""
     if not delta_e > 0:
@@ -212,18 +210,18 @@ def ising_decision_temperature(delta_e: float, n: int,
     if n < 1:
         raise ValidationError(f"spin count n={n} must be >= 1")
     t = 1.0 / (_LN2 * delta_e * n)
-    return IsingBound(Temperature(t), ground_energy + delta_e / 4.0,
-                      ground_energy + delta_e / 2.0)
+    return DecisionTemperature(Temperature(t), ground_energy + delta_e / 4.0,
+                               ground_energy + delta_e / 2.0)
 
 
 def gibbs_decide(h: LocalHamiltonian, t, decision_energy: float | None = None):
     """Classify by Gibbs mean energy; returns (verdict, report).
 
     witness-exists when mean <= decision_energy, no-witness otherwise.
-    Passing a DecisionTemperature (or IsingBound) uses its temperature and,
-    unless overridden, its cutoff as the decision energy.
+    Passing a DecisionTemperature uses its temperature and, unless
+    overridden, its cutoff as the decision energy.
     """
-    if isinstance(t, (DecisionTemperature, IsingBound)):
+    if isinstance(t, DecisionTemperature):
         if decision_energy is None:
             decision_energy = t.cutoff
         t = t.temperature

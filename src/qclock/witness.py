@@ -3,10 +3,11 @@
 prepare_witness cools the legal-clock restriction H' of the (replicated)
 circuit, clockham.legal_hamiltonian: the clock penalty -> infinity limit of
 the compiled Hamiltonian, already in the history frame, of dimension
-2^w (L+1) instead of 2^(w+L). A low-energy source maps H' to a square-root
-factor F of a state on it (rho = F F^dag); the energy is <F|H' F>, and the
-input-register trace of F F^dag is A A^dag for a reshape A of F. No 2^N
-register is compiled, assembled or pulled back. extract_witness takes a
+2^w (L+1) instead of 2^(w+L). A low-energy source maps H' alone to a
+square-root factor F of a state on it (rho = F F^dag); the energy is
+<F|H' F>, and the input-register trace of F F^dag is A A^dag for a reshape
+A of F, so the witness is built from the factor A. No 2^N register is
+compiled, assembled or pulled back. extract_witness takes a
 user's state on the full compiled register instead: its factor is pulled
 back through the history transform W, and the same trace follows. Only the
 2^n x 2^n witness on the input register is ever formed as a matrix. For the
@@ -24,13 +25,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .qcore import DensityMatrix, RegisterLayout, named_stream
-from .circuit import Circuit, Gate, accept_probability, optimal_witness
+from .qcore import DensityMatrix, RegisterLayout, _check_factor, named_stream
+from .circuit import (
+    EXPLICIT_LABELS, Circuit, Gate, accept_probability, optimal_witness,
+)
 from .clockham import (
-    LocalHamiltonian, compile_circuit, history_pull_back, legal_hamiltonian,
-    term_expectation,
+    LocalHamiltonian, _projection_leak, compile_circuit, history_pull_back,
+    legal_hamiltonian, term_expectation,
 )
 from .spectral import matvec
+from .thermal import _decision_energy
 
 __all__ = [
     "WitnessParams", "WitnessResult", "extract_witness", "povm_verifier_accept",
@@ -80,17 +84,15 @@ def _witness_tail(f: np.ndarray, c: Circuit, meta: Circuit,
     2^L + clock bits for a full-register factor pulled back through W. The
     trace of F F^dag onto input block i is A A^dag, where A is F reshaped
     so that block i's qubits index the rows. The witness is the uniform
-    mixture over the k blocks, or block `pick` alone. Returns (witness,
-    acceptance of c on it).
+    mixture over the k blocks, or block `pick` alone: the state with factor
+    [A_1 ... A_k] / sqrt(k). Returns (witness, acceptance of c on it).
     """
     n = c.n_input
     blocks = range(meta.n_input // n) if pick is None else (pick,)
-    sigma = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for i in blocks:
-        a = f.reshape(2 ** (i * n), 2 ** n, -1).swapaxes(0, 1).reshape(2 ** n, -1)
-        sigma += a @ a.conj().T
-    sigma = DensityMatrix(n, sigma / len(blocks))
-    return sigma, accept_probability(c, sigma).accept_probability
+    a = np.hstack([f.reshape(2 ** (i * n), 2 ** n, -1).swapaxes(0, 1).reshape(2 ** n, -1)
+                   for i in blocks])
+    sigma = DensityMatrix(n, factor=a / math.sqrt(len(blocks)))
+    return sigma, accept_probability(c, sigma)
 
 
 def extract_witness(rho: DensityMatrix, c: Circuit,
@@ -179,41 +181,14 @@ def replicate_circuit(c: Circuit, k: int):
     for copy in range(k):
         for g in c.gates:
             targets = tuple(remap(q, copy) for q in g.targets)
-            matrix = g.matrix if g.label in ("U1", "U2") else None
+            matrix = g.matrix if g.label in EXPLICIT_LABELS else None
             gates.append(Gate(g.label, targets, matrix))
     accepts = tuple(remap(c.accept_qubit, copy) for copy in range(k))
     meta = Circuit(RegisterLayout(k * n, k * m), tuple(gates), accepts[0], c.epsilon)
     return meta, accepts
 
 
-LowEnergySource = Callable[[np.ndarray, float], np.ndarray]
-
-
-def _source_factor(f, dim: int) -> np.ndarray:
-    """A source's square-root factor: dim rows, finite, ||F||_F^2 = 1."""
-    f = np.asarray(f)
-    if f.ndim != 2 or f.shape[0] != dim or f.shape[1] < 1:
-        raise ValidationError(
-            f"low-energy source returned shape {f.shape}, want a factor with {dim} rows")
-    if not np.isfinite(f).all():
-        raise ValidationError("low-energy source returned a non-finite factor")
-    tr = np.vdot(f, f).real
-    if abs(tr - 1.0) > 1e-12:
-        raise ValidationError(f"low-energy source factor has trace {tr!r}, not 1 within 1e-12")
-    return f
-
-
-def _projection_leak(c: Circuit, accept_qubits) -> float:
-    """Kempe-Kitaev-Regev projection-lemma bound ||H1||^2 / (J - 2 ||H1||)
-    on how far the ground energy of compile_circuit(c, accept_qubits=...)
-    at its default penalty J = L**12 lies below that of legal_hamiltonian
-    (never above: legal states carry no clock energy). ||H1|| is bounded by
-    the summed in, out and prop weights, m + #accept + 3L/2. inf when
-    J <= 2 ||H1||, where the lemma gives no bound.
-    """
-    penalty = float(c.length ** 12)
-    h1 = c.n_ancilla + len(accept_qubits) + 1.5 * c.length
-    return h1 ** 2 / (penalty - 2 * h1) if penalty > 2 * h1 else math.inf
+LowEnergySource = Callable[[np.ndarray], np.ndarray]
 
 
 def prepare_witness(c: Circuit, params: WitnessParams, source: LowEnergySource,
@@ -223,17 +198,18 @@ def prepare_witness(c: Circuit, params: WitnessParams, source: LowEnergySource,
 
     The k-copy meta-verifier carries one out-term per copy (the majority
     comparator itself is classical post-processing and is never compiled).
-    source(H', target) cools H' = legal_hamiltonian(meta, accepts), the
-    clock penalty -> infinity limit, and returns a square-root factor F
-    with rows indexed x (L+1) + t; thermal.ground_space_factor and
-    thermal.gibbs_factor fit. The energy is <F|H' F>, and result.leak is
-    _projection_leak(meta, accepts): how far the compiled Hamiltonian's
-    ground energy at the default penalty L**12 may lie below H''s. For a
-    finite penalty, compile meta and call extract_witness on its state.
-    The witness is the uniform mixture over the k input sub-registers, or
-    one seeded choice when sample_register is set. When the circuit has no
-    witness (max acceptance <= epsilon) the result is flagged and the
-    source's energy target is not enforced.
+    source(H') cools H' = legal_hamiltonian(meta, accepts), the clock
+    penalty -> infinity limit, and returns a square-root factor F with rows
+    indexed x (L+1) + t; thermal.ground_space_factor and
+    thermal.gibbs_factor fit. The energy is <F|H' F>; it must not exceed
+    target_energy, by default the promise's decision energy 1/(2(L+1)) of
+    meta. result.leak is clockham._projection_leak(meta, accepts): how far
+    the compiled Hamiltonian's ground energy at the default penalty may lie
+    below H''s. For a finite penalty, compile meta and call extract_witness
+    on its state. The witness is the uniform mixture over the k input
+    sub-registers, or one seeded choice when sample_register is set. When
+    the circuit has no witness (max acceptance <= epsilon) the result is
+    flagged and the energy target is not enforced.
     """
     opt = optimal_witness(c)
     flags = []
@@ -245,11 +221,11 @@ def prepare_witness(c: Circuit, params: WitnessParams, source: LowEnergySource,
 
     meta, accepts = replicate_circuit(c, params.k)
     h = legal_hamiltonian(meta, accepts)
-    target = (1.0 / (2.0 * (meta.length + 1))
+    target = (_decision_energy(meta.length)
               if target_energy is None else float(target_energy))
     if not math.isfinite(target):
         raise ValidationError(f"target energy {target} must be finite")
-    f = _source_factor(source(h, target), len(h))
+    f = _check_factor(source(h), len(h), "low-energy source")
     energy = float(np.vdot(f, h @ f).real)
     if not no_witness and energy > target + 1e-9:
         raise ConsistencyError(

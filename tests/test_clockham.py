@@ -182,7 +182,7 @@ def test_history_energy_identity_random_family():
         inp = random_pure_state(rng, c.n_input)
         eta = q.history_state(c, inp)
         energy = q.hamiltonian_energy(eta.density(), q.compile_circuit(c))
-        p = q.accept_probability(c, inp.density()).accept_probability
+        p = q.accept_probability(c, inp.density())
         assert abs(energy - (1 - p) / (c.length + 1)) < 1e-9
 
 

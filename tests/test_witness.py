@@ -34,7 +34,7 @@ def test_extract_witness_recovers_history_input():
     np.testing.assert_allclose(
         res.witness.entries,
         np.outer(inp.amplitudes, inp.amplitudes.conj()), atol=1e-12)
-    p_direct = q.accept_probability(c, inp.density()).accept_probability
+    p_direct = q.accept_probability(c, inp.density())
     assert abs(res.accept_probability - p_direct) < 1e-12
 
 
@@ -143,7 +143,7 @@ def test_replicate_circuit_blocks():
     # each copy acts on its own block: product input gives the same
     # per-copy acceptance as the base circuit
     inp = random_pure_state(rng, 1)
-    base = q.accept_probability(c, inp.density()).accept_probability
+    base = q.accept_probability(c, inp.density())
     joint = np.array([1.0 + 0j])
     for _ in range(3):
         joint = np.kron(joint, inp.amplitudes)
@@ -166,8 +166,23 @@ def test_replicate_identity_for_single_copy():
         q.replicate_circuit(c, 0)
 
 
-def ground_source(h, target):
+def ground_source(h):
     return q.ground_space_factor(h)
+
+
+def test_prepare_witness_hands_the_source_only_the_hamiltonian():
+    # a state generator takes the classical description of H' and nothing
+    # else; the energy target is checked by prepare_witness itself
+    c = random_circuit(rng_for("prep-one-arg"), n_input=1, n_ancilla=1, length=2)
+    seen = []
+
+    def source(h):
+        seen.append(h)
+        return q.ground_space_factor(h)
+
+    q.prepare_witness(c, q.WitnessParams(k=1, seed=0), source)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], q.legal_hamiltonian(c))
 
 
 def test_prepare_witness_ground_source():
@@ -198,7 +213,7 @@ def test_prepare_witness_flags_no_witness_regime():
 def test_prepare_witness_enforces_energy_target():
     rng = rng_for("prep-hot")
     c = random_circuit(rng, n_input=1, n_ancilla=0, length=1)
-    maximally_mixed = lambda h, target: np.eye(len(h)) / np.sqrt(len(h))
+    maximally_mixed = lambda h: np.eye(len(h)) / np.sqrt(len(h))
     with pytest.raises(q.ConsistencyError):
         q.prepare_witness(c, q.WitnessParams(k=1, seed=0),
                           maximally_mixed)
@@ -223,8 +238,7 @@ def test_prepare_witness_sampled_register_deterministic():
 def test_prepare_witness_checks_the_source_factor(bad, message):
     c = random_circuit(rng_for("prep-bad"), n_input=1, n_ancilla=1, length=2)
     with pytest.raises(q.ValidationError, match=message):
-        q.prepare_witness(c, q.WitnessParams(k=1, seed=0),
-                          lambda h, target: bad(h))
+        q.prepare_witness(c, q.WitnessParams(k=1, seed=0), bad)
 
 
 def embed_legal_factor(f, meta):
@@ -274,7 +288,7 @@ def test_prepare_witness_never_touches_the_full_register(monkeypatch):
                          (spectral, "assemble"), (witness, "hamiltonian_energy")):
         monkeypatch.setattr(module, name, refuse)
     c = random_circuit(rng_for("prep-legal-only"), n_input=2, n_ancilla=1, length=3)
-    for source in (ground_source, lambda h, target: q.gibbs_factor(h, 0.01)[0]):
+    for source in (ground_source, lambda h: q.gibbs_factor(h, 0.01)[0]):
         res = q.prepare_witness(c, q.WitnessParams(k=2, seed=0), source)
         assert res.witness.num_qubits == 2
 
