@@ -152,7 +152,12 @@ def accept_probability(c: Circuit, rho_input: DensityMatrix) -> float:
         raise ValidationError(
             f"input state has {rho_input.num_qubits} qubits, circuit expects {c.n_input}"
         )
-    p = expectation(rho_input, acceptance_operator(c))
+    return _accept_on(acceptance_operator(c), rho_input)
+
+
+def _accept_on(m: Operator, rho_input: DensityMatrix) -> float:
+    """tr(M rho_input) clipped to [0, 1], for an acceptance operator M."""
+    p = expectation(rho_input, m)
     return min(max(p, 0.0), 1.0)
 
 
@@ -169,13 +174,17 @@ def acceptance_operator(c: Circuit) -> Operator:
 
 def optimal_witness(c: Circuit, degeneracy_tol: float = 1e-10) -> OptimalWitness:
     """Input state maximizing acceptance; flagged when the maximum is degenerate."""
-    m = acceptance_operator(c)
+    return _optimal_on(acceptance_operator(c), degeneracy_tol)
+
+
+def _optimal_on(m: Operator, degeneracy_tol: float = 1e-10) -> OptimalWitness:
+    """optimal_witness for an acceptance operator M: its top eigenpair."""
     evals, evecs = _eigh(m.entries)
     top = evals[-1]
     degenerate = len(evals) > 1 and (top - evals[-2]) <= degeneracy_tol
     vec = evecs[:, -1]
     vec = vec / np.linalg.norm(vec)
-    return OptimalWitness(PureState(c.n_input, vec), float(np.clip(top, 0.0, 1.0)),
+    return OptimalWitness(PureState(m.num_qubits, vec), float(np.clip(top, 0.0, 1.0)),
                           bool(degenerate))
 
 

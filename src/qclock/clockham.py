@@ -31,6 +31,7 @@ energy at a finite penalty J lies at most the Kempe-Kitaev-Regev leak
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,6 +51,9 @@ _PSD_PARTS = ("in", "out", "prop_projector", "clock")
 _P0 = np.diag([1.0, 0.0]).astype(complex)
 _P1 = np.diag([0.0, 1.0]).astype(complex)
 _LOWER = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
+
+# widest support a fused group of terms may span (see LocalHamiltonian.fused)
+_FUSE_WIDTH = 4
 
 __all__ = [
     "PARTS", "LocalTerm", "LocalHamiltonian", "ClockState", "unary_encode",
@@ -157,11 +161,53 @@ class LocalHamiltonian:
             counts[t.part] += 1
         return counts
 
+    @functools.cached_property
+    def fused(self) -> tuple:
+        """The terms merged into a few (support, matrix) groups: matrix is
+        the weighted sum of the group's terms on the sorted union of their
+        supports, so H = sum of the embedded group matrices. Built once, on
+        first use; the Hamiltonian is immutable, so it never goes stale."""
+        plan = []
+        for support, members in _fusion_groups(self.terms):
+            total = 0
+            for j in members:
+                term = self.terms[j]
+                rest = [q for q in support if q not in term.support]
+                wide = np.kron(term.weight * term.matrix, np.eye(2 ** len(rest)))
+                total = total + permute_to_sorted(wide, list(term.support) + rest)[1]
+            total.flags.writeable = False
+            plan.append((support, total))
+        return tuple(plan)
+
     def restricted_to(self, parts) -> "LocalHamiltonian":
         parts = set(parts)
         return LocalHamiltonian(
             self.layout, tuple(t for t in self.terms if t.part in parts)
         )
+
+
+def _fusion_groups(terms) -> list:
+    """Greedy grouping of terms into (sorted support, term indices) pairs.
+
+    One pass, largest support first (term order within a size): a term
+    joins the existing group whose union with it is smallest, if that union
+    spans at most _FUSE_WIDTH qubits, and otherwise starts a new group.
+    """
+    groups = []  # [support set, member indices]
+    order = sorted(range(len(terms)), key=lambda j: -len(terms[j].support))
+    for j in order:
+        sup = set(terms[j].support)
+        best, best_union = None, None
+        for group in groups:
+            union = group[0] | sup
+            if len(union) <= _FUSE_WIDTH and (best is None or len(union) < len(best_union)):
+                best, best_union = group, union
+        if best is None:
+            groups.append([sup, [j]])
+        else:
+            best[0] = best_union
+            best[1].append(j)
+    return [(tuple(sorted(sup)), members) for sup, members in groups]
 
 
 def term_expectation(rho: DensityMatrix, term: LocalTerm) -> float:

@@ -2,8 +2,14 @@
 
 One scatter helper (qcore._scatter_entries) maps each term's nonzero
 entries to their global (row, col) indices; the dense matrix accumulates
-them in term order. The matvec used by the iterative eigensolver stays
-matrix-free. Dense handles up to 12 qubits, matrix-free up to 16.
+them in term order. The matvec used by the iterative eigensolver, the
+residual check and the energy helpers is matrix-free: it runs the few
+fused groups of LocalHamiltonian.fused (each the weighted sum of several
+terms on the union of their supports) through qcore.apply_local, so each
+product passes over the state once per group, not once per term. Its sums
+are ordered by group, so its results can differ from the assembled
+matrix's at rounding level. Dense handles up to 12 qubits, matrix-free up
+to 16.
 """
 
 from __future__ import annotations
@@ -69,15 +75,15 @@ def assemble(h: LocalHamiltonian) -> Operator:
 
 
 def matvec(h: LocalHamiltonian, vec: np.ndarray) -> np.ndarray:
-    """H @ vec straight off the term list, for a vector or a 2^n x m block
-    of columns; no matrix is materialized."""
+    """H @ vec for a vector or a 2^n x m block of columns, summed over the
+    fused groups of h.fused; no 2^n matrix is materialized."""
     n = h.num_qubits
     vec = np.asarray(vec, dtype=complex)
     if vec.ndim not in (1, 2) or vec.shape[0] != 2 ** n:
         raise ValidationError(f"vector shape {vec.shape} does not match {n} qubits")
     out = np.zeros_like(vec)
-    for term in h.terms:
-        out += term.weight * apply_local(term.matrix, term.support, n, vec)
+    for support, matrix in h.fused:
+        out += apply_local(matrix, support, n, vec)
     return out
 
 
@@ -102,8 +108,7 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
     elif method == "iterative":
         if n > QUBIT_CAP:
             raise ResourceLimitError(f"{n} qubits exceeds the sparse cap of {QUBIT_CAP}")
-        kk = min(k, dim - 2)
-        if kk < 1 or dim < 8:
+        if k > dim - 2 or dim < 8:
             # ARPACK needs k < dim-1 and room for the Krylov basis
             evals, evecs = _eigh(assemble(h).entries, k)
             method = "dense"
@@ -121,7 +126,7 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
             v0 = named_stream(seed, "eigsh-start").standard_normal(dim)
             try:
                 evals, evecs = scipy.sparse.linalg.eigsh(
-                    op, k=kk, which="LA", v0=v0,
+                    op, k=k, which="LA", v0=v0,
                     maxiter=100 * dim, tol=0,
                 )
             except scipy.sparse.linalg.ArpackNoConvergence as exc:

@@ -25,9 +25,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .qcore import DensityMatrix, RegisterLayout, _check_factor, named_stream
+from .qcore import (
+    DensityMatrix, Operator, RegisterLayout, _check_factor, named_stream,
+)
 from .circuit import (
-    EXPLICIT_LABELS, Circuit, Gate, accept_probability, optimal_witness,
+    EXPLICIT_LABELS, Circuit, Gate, _accept_on, _optimal_on, acceptance_operator,
 )
 from .clockham import (
     LocalHamiltonian, _projection_leak, compile_circuit, history_pull_back,
@@ -75,24 +77,25 @@ def hamiltonian_energy(rho: DensityMatrix, h: LocalHamiltonian) -> float:
     return float(np.vdot(f, matvec(h, f)).real)
 
 
-def _witness_tail(f: np.ndarray, c: Circuit, meta: Circuit,
+def _witness_tail(f: np.ndarray, m: Operator, meta: Circuit,
                   pick: int | None = None):
     """Read an input witness of c out of a history-frame factor F of meta.
 
-    meta is c or its k-copy replica. F's rows lead with meta's input and
-    ancilla register x: x (L+1) + t for a legal_hamiltonian factor, or x
-    2^L + clock bits for a full-register factor pulled back through W. The
-    trace of F F^dag onto input block i is A A^dag, where A is F reshaped
-    so that block i's qubits index the rows. The witness is the uniform
-    mixture over the k blocks, or block `pick` alone: the state with factor
-    [A_1 ... A_k] / sqrt(k). Returns (witness, acceptance of c on it).
+    m is c's acceptance operator; meta is c or its k-copy replica. F's rows
+    lead with meta's input and ancilla register x: x (L+1) + t for a
+    legal_hamiltonian factor, or x 2^L + clock bits for a full-register
+    factor pulled back through W. The trace of F F^dag onto input block i
+    is A A^dag, where A is F reshaped so that block i's qubits index the
+    rows. The witness is the uniform mixture over the k blocks, or block
+    `pick` alone: the state with factor [A_1 ... A_k] / sqrt(k). Returns
+    (witness, acceptance of c on it).
     """
-    n = c.n_input
+    n = m.num_qubits
     blocks = range(meta.n_input // n) if pick is None else (pick,)
     a = np.hstack([f.reshape(2 ** (i * n), 2 ** n, -1).swapaxes(0, 1).reshape(2 ** n, -1)
                    for i in blocks])
     sigma = DensityMatrix(n, factor=a / math.sqrt(len(blocks)))
-    return sigma, accept_probability(c, sigma)
+    return sigma, _accept_on(m, sigma)
 
 
 def extract_witness(rho: DensityMatrix, c: Circuit,
@@ -112,7 +115,8 @@ def extract_witness(rho: DensityMatrix, c: Circuit,
         ham = compile_circuit(c)
     elif ham.num_qubits != expected:
         raise ValidationError("Hamiltonian register does not match the circuit")
-    sigma, acc = _witness_tail(history_pull_back(c, rho.factor), c, c, pick=0)
+    sigma, acc = _witness_tail(history_pull_back(c, rho.factor),
+                               acceptance_operator(c), c, pick=0)
     energy = hamiltonian_energy(rho, ham)
     return WitnessResult(sigma, acc, energy, (), 1, 0)
 
@@ -211,7 +215,8 @@ def prepare_witness(c: Circuit, params: WitnessParams, source: LowEnergySource,
     the circuit has no witness (max acceptance <= epsilon) the result is
     flagged and the energy target is not enforced.
     """
-    opt = optimal_witness(c)
+    m = acceptance_operator(c)
+    opt = _optimal_on(m)
     flags = []
     no_witness = opt.probability <= c.epsilon + 1e-12
     if no_witness:
@@ -235,7 +240,7 @@ def prepare_witness(c: Circuit, params: WitnessParams, source: LowEnergySource,
     pick = None
     if sample_register:
         pick = int(named_stream(params.seed, "register-choice").integers(params.k))
-    sigma, acc = _witness_tail(f, c, meta, pick)
+    sigma, acc = _witness_tail(f, m, meta, pick)
     return WitnessResult(sigma, acc, energy, tuple(flags), params.k, params.seed,
                          _projection_leak(meta, accepts))
 

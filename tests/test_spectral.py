@@ -3,9 +3,12 @@ import pytest
 
 import qclock as q
 
+from qclock import clockham
+
 from conftest import (
     all_reject_circuit, assemble_oracle, history_transform_oracle,
-    random_circuit, random_povm_hamiltonian, random_pure_state, rng_for,
+    random_circuit, random_povm_hamiltonian, random_pure_state,
+    random_unit_interval_hermitian, rng_for,
 )
 
 
@@ -25,13 +28,95 @@ def test_assemble_bitwise_matches_oracle():
         assert np.array_equal(q.assemble(h).entries, assemble_oracle(h))
 
 
+def fusion_instances(rng):
+    """Random 1-3-local POVM Hamiltonians on 6-8 qubits, with each one's
+    first supports repeated under fresh matrices, and a compiled clock H
+    at the default L**12 penalty."""
+    out = []
+    for n in (6, 7, 8):
+        h = random_povm_hamiltonian(rng, n, 3 * n)
+        again = tuple(
+            q.LocalTerm("in", t.weight, t.support,
+                        random_unit_interval_hermitian(rng, len(t.support)))
+            for t in h.terms[:4]
+        )
+        out.append(q.LocalHamiltonian(n, h.terms + again))
+    c = random_circuit(rng, n_input=2, n_ancilla=1, length=4)
+    out.append(q.compile_circuit(c))
+    return out
+
+
 def test_matvec_matches_dense():
+    # the fused groups reorder the sums, so agreement is up to rounding
     rng = rng_for("matvec")
-    h = random_povm_hamiltonian(rng, 5, 7)
-    dense = assemble_oracle(h)
-    for _ in range(3):
-        v = random_pure_state(rng, 5).amplitudes
-        np.testing.assert_allclose(q.matvec(h, v), dense @ v, atol=1e-11)
+    for h in [random_povm_hamiltonian(rng, 5, 7)] + fusion_instances(rng):
+        dim = 2 ** h.num_qubits
+        dense = assemble_oracle(h)
+        tol = np.sqrt(dim) * np.finfo(float).eps * h.total_weight
+        v = random_pure_state(rng, h.num_qubits).amplitudes
+        assert np.linalg.norm(q.matvec(h, v) - dense @ v) <= tol
+        block = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        block /= np.linalg.norm(block, axis=0)
+        err = np.linalg.norm(q.matvec(h, block) - dense @ block, axis=0)
+        assert (err <= tol).all()
+
+
+def test_fused_plan_invariants():
+    rng = rng_for("fused-plan")
+    for h in fusion_instances(rng):
+        groups = clockham._fusion_groups(h.terms)
+        assert h.fused is h.fused  # built once per Hamiltonian
+        assert [g[0] for g in groups] == [support for support, _ in h.fused]
+        members = sorted(j for _, group in groups for j in group)
+        assert members == list(range(len(h.terms)))
+        for support, group in groups:
+            assert list(support) == sorted(set(support))
+            assert len(support) <= clockham._FUSE_WIDTH
+            for j in group:
+                assert set(h.terms[j].support) <= set(support)
+        for support, matrix in h.fused:
+            assert matrix.shape == (2 ** len(support),) * 2
+
+
+def test_fused_plan_keeps_wide_unions_apart():
+    # disjoint 2-qubit terms: a group takes at most _FUSE_WIDTH // 2 of them
+    per_group = clockham._FUSE_WIDTH // 2
+    count = 2 * per_group + 1
+    rng = rng_for("fused-apart")
+    terms = tuple(
+        q.LocalTerm("in", 1.0, (2 * i, 2 * i + 1),
+                    random_unit_interval_hermitian(rng, 2))
+        for i in range(count)
+    )
+    h = q.LocalHamiltonian(2 * count, terms)
+    groups = clockham._fusion_groups(h.terms)
+    assert len(groups) == 3
+    assert sorted(len(group) for _, group in groups) == [1, per_group, per_group]
+
+
+def test_min_eigenvalue_iterative_ten_qubits_matches_oracle():
+    rng = rng_for("iter-10")
+    h = random_povm_hamiltonian(rng, 10, 30)
+    rep = q.min_eigenvalue(h, k=6, method="iterative", seed=1)
+    assert rep.method == "iterative"
+    oracle = np.linalg.eigvalsh(assemble_oracle(h))[:6]
+    np.testing.assert_allclose(rep.spectrum, oracle, rtol=0,
+                               atol=1e-9 * max(1.0, h.total_weight))
+
+
+@pytest.mark.parametrize("method", ["dense", "iterative"])
+@pytest.mark.parametrize("k", [1, 14, 15, 16, 20])
+def test_min_eigenvalue_returns_min_k_dim_levels(method, k):
+    # ARPACK takes k <= dim - 2; past that the iterative route falls back
+    # to dense instead of truncating the spectrum
+    rng = rng_for("k-levels")
+    h = random_povm_hamiltonian(rng, 4, 6)
+    rep = q.min_eigenvalue(h, k=k, method=method, seed=1)
+    assert len(rep.spectrum) == min(k, 16)
+    want = "iterative" if method == "iterative" and k <= 14 else "dense"
+    assert rep.method == want
+    oracle = np.linalg.eigvalsh(assemble_oracle(h))[:k]
+    np.testing.assert_allclose(rep.spectrum, oracle, rtol=0, atol=1e-9)
 
 
 def test_min_eigenvalue_dense_matches_eigvalsh():

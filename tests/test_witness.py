@@ -4,7 +4,7 @@ import pytest
 import qclock as q
 from qclock import witness
 
-from qclock import clockham, spectral, thermal
+from qclock import circuit, clockham, spectral, thermal
 
 from conftest import (
     accept_oracle, all_reject_circuit, assemble_oracle,
@@ -77,7 +77,8 @@ def test_witness_tail_two_copies_matches_dense_oracle(pick):
     meta, _ = q.replicate_circuit(c, 2)
     total = meta.n_input + meta.n_ancilla + meta.length
     f = random_factor(rng, total, 2)
-    sigma, acc = witness._witness_tail(q.history_pull_back(meta, f), c, meta, pick)
+    sigma, acc = witness._witness_tail(q.history_pull_back(meta, f),
+                                       q.acceptance_operator(c), meta, pick)
     want = dense_witness_oracle(f, c, meta, [0, 1] if pick is None else [pick])
     np.testing.assert_allclose(sigma.entries, want, atol=1e-12)
     assert abs(acc - accept_oracle(c, want)) < 1e-12
@@ -291,6 +292,24 @@ def test_prepare_witness_never_touches_the_full_register(monkeypatch):
     for source in (ground_source, lambda h: q.gibbs_factor(h, 0.01)[0]):
         res = q.prepare_witness(c, q.WitnessParams(k=2, seed=0), source)
         assert res.witness.num_qubits == 2
+
+
+def test_prepare_witness_builds_the_acceptance_operator_once(monkeypatch):
+    # one acceptance operator M per call serves both the no-witness flag
+    # and the witness's acceptance, so one full-register unitary is formed
+    built = []
+    unitary = circuit.circuit_unitary
+
+    def counting(c):
+        built.append(c)
+        return unitary(c)
+
+    monkeypatch.setattr(circuit, "circuit_unitary", counting)
+    c = random_circuit(rng_for("prep-one-m"), n_input=2, n_ancilla=1, length=3)
+    for k in (1, 2):
+        built.clear()
+        q.prepare_witness(c, q.WitnessParams(k=k, seed=0), ground_source)
+        assert built == [c]
 
 
 def test_two_copy_witness_past_the_register_cap():
