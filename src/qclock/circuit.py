@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .qcore import (
-    DensityMatrix, Operator, PureState, RegisterLayout, _content_lines,
-    _eigh, _entry_lines, _parse_entry_lines, apply_local, expectation,
-    fmt_float,
+    _DEGENERACY_TOL, DensityMatrix, Operator, PureState, RegisterLayout,
+    _content_lines, _eigh, _entry_lines, _parse_entry_lines, apply_local,
+    expectation, fmt_float,
 )
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -172,12 +172,12 @@ def acceptance_operator(c: Circuit) -> Operator:
     return Operator(n, 0.5 * (mat + mat.conj().T), "hermitian")
 
 
-def optimal_witness(c: Circuit, degeneracy_tol: float = 1e-10) -> OptimalWitness:
+def optimal_witness(c: Circuit, degeneracy_tol: float = _DEGENERACY_TOL) -> OptimalWitness:
     """Input state maximizing acceptance; flagged when the maximum is degenerate."""
     return _optimal_on(acceptance_operator(c), degeneracy_tol)
 
 
-def _optimal_on(m: Operator, degeneracy_tol: float = 1e-10) -> OptimalWitness:
+def _optimal_on(m: Operator, degeneracy_tol: float = _DEGENERACY_TOL) -> OptimalWitness:
     """optimal_witness for an acceptance operator M: its top eigenpair."""
     evals, evecs = _eigh(m.entries)
     top = evals[-1]

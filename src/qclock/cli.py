@@ -16,7 +16,7 @@ from .errors import (
     ConsistencyError, ConvergenceError, ParseError, ResourceLimitError,
     ValidationError,
 )
-from .qcore import fmt_float, write_matrix
+from .qcore import _DEGENERACY_TOL, _RESIDUAL_TARGET, fmt_float, write_matrix
 from .circuit import parse_circuit
 from .clockham import compile_circuit, parse_hamiltonian, serialize_hamiltonian
 from .spectral import min_eigenvalue, serialize_report
@@ -27,10 +27,7 @@ from .thermal import (
     ground_space_factor, mean_energy_bound,
 )
 
-_TOLERANCE_DEFAULTS = {
-    "residual": 1e-8,      # eigensolver ground-pair residual target
-    "degeneracy": 1e-10,   # ground-space width for the T -> 0 source
-}
+_TOLERANCE_DEFAULTS = {"residual": _RESIDUAL_TARGET, "degeneracy": _DEGENERACY_TOL}
 
 
 def _parse_tolerances(pairs):

@@ -30,6 +30,8 @@ QUBIT_CAP = 16          # state vectors
 DENSE_QUBIT_CAP = 12    # dense matrices
 
 ATOL = 1e-12
+_DEGENERACY_TOL = 1e-10  # default width of a degenerate extreme eigenspace
+_RESIDUAL_TARGET = 1e-8  # default ground-pair residual, relative to max(1, ||H||)
 
 __all__ = [
     "QUBIT_CAP", "DENSE_QUBIT_CAP", "PureState", "DensityMatrix", "Operator",
@@ -65,8 +67,7 @@ def _check_factor(f, rows: int, what: str) -> np.ndarray:
 
 
 def _as_complex(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=complex)
-    out = np.array(arr, dtype=complex, order="C")
+    out = np.array(a, dtype=complex, order="C")
     out.flags.writeable = False
     return out
 
@@ -144,7 +145,7 @@ class DensityMatrix:
         tr = np.trace(m)
         if abs(tr - 1.0) > 1e-12:
             raise ValidationError(f"DensityMatrix: trace {tr!r} is not 1 within 1e-12")
-        evals = np.linalg.eigvalsh(m)
+        evals = _eigh(m, vectors=False)
         if evals.min() < -1e-10:
             raise ValidationError(
                 f"DensityMatrix: negative eigenvalue {evals.min():.3e} below -1e-10"
@@ -286,19 +287,21 @@ def operator_norm(op: Operator) -> float:
     return float(np.linalg.svd(op.entries, compute_uv=False)[0])
 
 
-def _eigh(mat: np.ndarray, k: int | None = None, vectors: bool = True):
-    """Ascending eigenpairs of a dense Hermitian matrix: all, or the lowest k.
-
-    With vectors=False only the eigenvalues are computed and returned.
-    Every dense factorisation goes through LAPACK's MRRR driver (zheevr).
-    It costs the same as the divide-and-conquer driver (zheevd) behind
-    np.linalg.eigh, which fails to converge on some clock Hamiltonians at
-    one BLAS thread. A LAPACK failure is a ConvergenceError.
+def _eigh(mat: np.ndarray, k: int | None = None, vectors: bool = True, *,
+          upper: float | None = None):
+    """Ascending eigenpairs of a dense Hermitian matrix: all, the lowest k,
+    or (upper given) every one at or below upper. With vectors=False only
+    the eigenvalues are computed and returned. Every dense factorisation
+    goes through LAPACK's MRRR driver (zheevr). It costs the same as the
+    divide-and-conquer driver (zheevd) behind np.linalg.eigh, which fails
+    to converge on some clock Hamiltonians at one BLAS thread. A LAPACK
+    failure is a ConvergenceError.
     """
     subset = None if k is None else (0, min(k, mat.shape[0]) - 1)
+    below = None if upper is None else (-np.inf, upper)
     try:
         return scipy.linalg.eigh(mat, driver="evr", subset_by_index=subset,
-                                 eigvals_only=not vectors)
+                                 subset_by_value=below, eigvals_only=not vectors)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigensolver failed: {exc}") from None
 

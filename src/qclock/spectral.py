@@ -1,15 +1,15 @@
 """Assembly and diagonalization of local Hamiltonians.
 
 One scatter helper (qcore._scatter_entries) maps each term's nonzero
-entries to their global (row, col) indices; the dense matrix accumulates
-them in term order. The matvec used by the iterative eigensolver, the
-residual check and the energy helpers is matrix-free: it runs the few
-fused groups of LocalHamiltonian.fused (each the weighted sum of several
-terms on the union of their supports) through qcore.apply_local, so each
-product passes over the state once per group, not once per term. Its sums
-are ordered by group, so its results can differ from the assembled
-matrix's at rounding level. Dense handles up to 12 qubits, matrix-free up
-to 16.
+entries to their global (row, col) indices; assemble sums them in term
+order into a plain read-only Hermitian array. The matvec used by the
+iterative eigensolver, the residual check and the energy helpers is
+matrix-free: it runs the few fused groups of LocalHamiltonian.fused (each
+the weighted sum of several terms on the union of their supports) through
+qcore.apply_local, so each product passes over the state once per group,
+not once per term. Its sums are ordered by group, so its results can
+differ from the assembled matrix's at rounding level. Dense handles up to
+12 qubits, matrix-free up to 16.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import scipy.sparse.linalg
 
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
 from .qcore import (
-    DENSE_QUBIT_CAP, QUBIT_CAP, Operator, PureState, _eigh,
+    _RESIDUAL_TARGET, ATOL, DENSE_QUBIT_CAP, QUBIT_CAP, PureState, _eigh,
     _scatter_entries, apply_local, fmt_float, named_stream,
 )
 from .clockham import LocalHamiltonian
@@ -58,8 +58,8 @@ class SpectralReport(NamedTuple):
     seed: int
 
 
-def assemble(h: LocalHamiltonian) -> Operator:
-    """Dense Hermitian matrix of the weighted term sum."""
+def assemble(h: LocalHamiltonian) -> np.ndarray:
+    """Dense Hermitian matrix of the weighted term sum, as a read-only array."""
     n = h.num_qubits
     if n > DENSE_QUBIT_CAP:
         raise ResourceLimitError(
@@ -71,7 +71,10 @@ def assemble(h: LocalHamiltonian) -> Operator:
         # exact, and terms add in list order
         rows, cols, vals = _scatter_entries(term.matrix, term.support, n)
         total[rows, cols] += term.weight * vals
-    return Operator(n, total, "hermitian")
+    if np.abs(total - total.conj().T).max() > ATOL:
+        raise ValidationError("assemble: weighted sum not Hermitian within 1e-12")
+    total.flags.writeable = False
+    return total
 
 
 def matvec(h: LocalHamiltonian, vec: np.ndarray) -> np.ndarray:
@@ -88,7 +91,7 @@ def matvec(h: LocalHamiltonian, vec: np.ndarray) -> np.ndarray:
 
 
 def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
-                   seed: int = 0, residual_target: float = 1e-8) -> SpectralReport:
+                   seed: int = 0, residual_target: float = _RESIDUAL_TARGET) -> SpectralReport:
     """Lowest k eigenvalues and the ground eigenvector.
 
     method: dense (exact, <= 12 qubits), iterative (matrix-free Lanczos,
@@ -103,44 +106,42 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
         raise ValidationError(f"requested k={k} eigenvalues")
     if method == "auto":
         method = "dense" if n <= DENSE_QUBIT_CAP else "iterative"
-    if method == "dense":
-        evals, evecs = _eigh(assemble(h).entries, k)
-    elif method == "iterative":
-        if n > QUBIT_CAP:
-            raise ResourceLimitError(f"{n} qubits exceeds the sparse cap of {QUBIT_CAP}")
-        if k > dim - 2 or dim < 8:
-            # ARPACK needs k < dim-1 and room for the Krylov basis
-            evals, evecs = _eigh(assemble(h).entries, k)
-            method = "dense"
-        else:
-            # Lanczos on sigma*I - H with which="LA": the ground state of H
-            # becomes the dominant end of a PSD operator, which restarted
-            # Lanczos tracks far more reliably than "SA" does on spectra
-            # with heavy interior clustering. sigma = total weight is a
-            # certified bound on ||H|| (every term has norm <= 1).
-            sigma = h.total_weight
-            op = scipy.sparse.linalg.LinearOperator(
-                (dim, dim), matvec=lambda v: sigma * v - matvec(h, v),
-                dtype=complex,
-            )
-            v0 = named_stream(seed, "eigsh-start").standard_normal(dim)
-            try:
-                evals, evecs = scipy.sparse.linalg.eigsh(
-                    op, k=k, which="LA", v0=v0,
-                    maxiter=100 * dim, tol=0,
-                )
-            except scipy.sparse.linalg.ArpackNoConvergence as exc:
-                best = None
-                if len(exc.eigenvalues):
-                    vec = exc.eigenvectors[:, 0]
-                    lam = sigma - exc.eigenvalues[0]
-                    best = float(np.linalg.norm(matvec(h, vec) - lam * vec))
-                raise ConvergenceError("Lanczos did not converge", best_residual=best)
-            evals = sigma - evals
-            order = np.argsort(evals)
-            evals, evecs = evals[order], evecs[:, order]
-    else:
+    elif method not in ("dense", "iterative"):
         raise ValidationError(f"unknown method {method!r}")
+    if method == "iterative" and n > QUBIT_CAP:
+        raise ResourceLimitError(f"{n} qubits exceeds the sparse cap of {QUBIT_CAP}")
+    if k > dim - 2 or dim < 8:
+        # ARPACK needs k < dim-1 and room for the Krylov basis
+        method = "dense"
+    if method == "dense":
+        evals, evecs = _eigh(assemble(h), k)
+    else:
+        # Lanczos on sigma*I - H with which="LA": the ground state of H
+        # becomes the dominant end of a PSD operator, which restarted
+        # Lanczos tracks far more reliably than "SA" does on spectra
+        # with heavy interior clustering. sigma = total weight is a
+        # certified bound on ||H|| (every term has norm <= 1).
+        sigma = h.total_weight
+        op = scipy.sparse.linalg.LinearOperator(
+            (dim, dim), matvec=lambda v: sigma * v - matvec(h, v),
+            dtype=complex,
+        )
+        v0 = named_stream(seed, "eigsh-start").standard_normal(dim)
+        try:
+            evals, evecs = scipy.sparse.linalg.eigsh(
+                op, k=k, which="LA", v0=v0,
+                maxiter=100 * dim, tol=0,
+            )
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            best = None
+            if len(exc.eigenvalues):
+                vec = exc.eigenvectors[:, 0]
+                lam = sigma - exc.eigenvalues[0]
+                best = float(np.linalg.norm(matvec(h, vec) - lam * vec))
+            raise ConvergenceError("Lanczos did not converge", best_residual=best)
+        evals = sigma - evals
+        order = np.argsort(evals)
+        evals, evecs = evals[order], evecs[:, order]
 
     ground = np.asarray(evecs[:, 0], dtype=complex)
     ground = ground / np.linalg.norm(ground)

@@ -13,8 +13,8 @@ Each entry point assembles H once per call. gibbs_reports serves a whole
 temperature list from one eigenvalues-only factorisation, and gibbs_decide
 uses it too. The two states come back as square-root factors, never as
 2^n x 2^n matrices: gibbs_state as V sqrt(p) over the occupied levels, and
-ground_projector_state as V / sqrt(r) over the r ground vectors, found by a
-subset solve that grows until it has passed the ground space. Those factors
+ground_projector_state as V / sqrt(r) over the r ground vectors, found by
+at most two subset solves, the second bounded by value. Those factors
 come from two matrix-level helpers, gibbs_factor and ground_space_factor,
 which also serve the legal-clock matrices of the witness pipeline.
 """
@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .qcore import DensityMatrix, _eigh
+from .qcore import _DEGENERACY_TOL, DensityMatrix, _eigh
 from .clockham import LocalHamiltonian
 from .spectral import assemble
 
@@ -117,7 +117,7 @@ def gibbs_factor(mat: np.ndarray, t):
 def gibbs_state(h: LocalHamiltonian, t):
     """Gibbs state of the assembled Hamiltonian; returns (state, report),
     from gibbs_factor."""
-    factor, report = gibbs_factor(assemble(h).entries, t)
+    factor, report = gibbs_factor(assemble(h), t)
     return DensityMatrix(h.num_qubits, factor=factor), report
 
 
@@ -126,33 +126,33 @@ def gibbs_reports(h: LocalHamiltonian, temps) -> tuple:
     factorisation of H; no density matrix is built. Entry i equals
     gibbs_state(h, temps[i])[1]."""
     temps = [_as_temperature(t) for t in temps]
-    evals = _eigh(assemble(h).entries, vectors=False)
+    evals = _eigh(assemble(h), vectors=False)
     return tuple(_thermal_report(evals, temp) for temp in temps)
 
 
-def ground_space_factor(mat: np.ndarray, degeneracy_tol: float = 1e-10) -> np.ndarray:
+def ground_space_factor(mat: np.ndarray, degeneracy_tol: float = _DEGENERACY_TOL):
     """Maximally mixed state over the ground space of a dense Hermitian
     matrix, as the square-root factor V / sqrt(r).
 
     The ground space is every eigenvector within degeneracy_tol of the
-    lowest eigenvalue. A subset solve asks for the lowest k eigenpairs and
-    doubles k while all of them are in it; V holds the r ground vectors.
+    lowest eigenvalue. A subset solve asks for the lowest _GROUND_SUBSET
+    eigenpairs; if all are in it and more remain, one solve bounded by value
+    at lowest + degeneracy_tol returns it whole. V holds the r ground vectors.
     """
-    k = _GROUND_SUBSET
-    while True:
-        evals, evecs = _eigh(mat, k)
-        sel = evals - evals[0] <= degeneracy_tol
-        if not sel.all() or len(evals) == len(mat):
-            break
-        k *= 2
-    vecs = evecs[:, sel]
+    evals, evecs = _eigh(mat, _GROUND_SUBSET)
+    if evals[-1] - evals[0] <= degeneracy_tol and len(evals) < len(mat):
+        # a tolerance below rounding (0, say) can find fewer; keep the first then
+        wider = _eigh(mat, upper=evals[0] + degeneracy_tol)
+        if len(wider[0]) >= len(evals):
+            evals, evecs = wider
+    vecs = evecs[:, evals - evals[0] <= degeneracy_tol]
     return vecs / np.sqrt(vecs.shape[1])
 
 
-def ground_projector_state(h: LocalHamiltonian, degeneracy_tol: float = 1e-10):
+def ground_projector_state(h: LocalHamiltonian, degeneracy_tol: float = _DEGENERACY_TOL):
     """T -> 0 limit: maximally mixed state over the ground space of the
     assembled Hamiltonian, from ground_space_factor."""
-    factor = ground_space_factor(assemble(h).entries, degeneracy_tol)
+    factor = ground_space_factor(assemble(h), degeneracy_tol)
     return DensityMatrix(h.num_qubits, factor=factor)
 
 

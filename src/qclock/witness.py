@@ -215,6 +215,12 @@ def prepare_witness(c: Circuit, params: WitnessParams, source: LowEnergySource,
     the circuit has no witness (max acceptance <= epsilon) the result is
     flagged and the energy target is not enforced.
     """
+    meta, accepts = replicate_circuit(c, params.k)
+    target = (_decision_energy(meta.length)
+              if target_energy is None else float(target_energy))
+    if not math.isfinite(target):
+        raise ValidationError(f"target energy {target} must be finite")
+    h = legal_hamiltonian(meta, accepts)    # checks the dense cap before M is built
     m = acceptance_operator(c)
     opt = _optimal_on(m)
     flags = []
@@ -223,13 +229,6 @@ def prepare_witness(c: Circuit, params: WitnessParams, source: LowEnergySource,
         flags.append("no-witness-regime")
     if opt.degenerate:
         flags.append("degenerate")
-
-    meta, accepts = replicate_circuit(c, params.k)
-    h = legal_hamiltonian(meta, accepts)
-    target = (_decision_energy(meta.length)
-              if target_energy is None else float(target_energy))
-    if not math.isfinite(target):
-        raise ValidationError(f"target energy {target} must be finite")
     f = _check_factor(source(h), len(h), "low-energy source")
     energy = float(np.vdot(f, h @ f).real)
     if not no_witness and energy > target + 1e-9:

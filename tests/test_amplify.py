@@ -1,10 +1,14 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import qclock as q
+
+from conftest import checkout_env
 
 
 def brute_reject(k: int, eps: float, p: float) -> float:
@@ -145,3 +149,12 @@ def test_simulate_majority_vote_deterministic():
     a, _ = q.simulate_majority_vote(p, 0.42, shots=1000, seed=7)
     b, _ = q.simulate_majority_vote(p, 0.42, shots=1000, seed=8)
     assert a != b  # different seeds explore different shot streams
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # only exact_reject_prob needs scipy.special, and it imports it itself
+    code = ("import sys, qclock, qclock.cli; "
+            "sys.exit('scipy.special' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=checkout_env())
+    assert proc.returncode == 0, proc.stderr.decode()

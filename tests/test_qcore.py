@@ -3,6 +3,7 @@ import pkgutil
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import qclock as q
 from qclock.qcore import apply_local, fmt_float, permute_to_sorted
@@ -31,6 +32,17 @@ def test_density_matrix_validation():
         q.DensityMatrix(1, np.array([[0.5, 1.0], [0.0, 0.5]]))  # not Hermitian
     with pytest.raises(q.ValidationError):
         q.DensityMatrix(1, np.array([[np.nan, 0.0], [0.0, 1.0]]))  # not finite
+
+
+def test_density_matrix_psd_check_failure_is_a_convergence_error(monkeypatch):
+    # the entries' PSD check runs the one dense eigensolver, so a LAPACK
+    # failure there is typed (exit 4), not a bare LinAlgError
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", fail)
+    with pytest.raises(q.ConvergenceError, match="dense eigensolver failed"):
+        q.DensityMatrix(1, np.eye(2) / 2)
 
 
 def test_factor_built_density_matrix_validation():

@@ -16,7 +16,7 @@ def test_assemble_matches_oracle():
     rng = rng_for("assemble")
     for _ in range(4):
         h = random_povm_hamiltonian(rng, 4, 6)
-        got = q.assemble(h).entries
+        got = q.assemble(h)
         np.testing.assert_allclose(got, assemble_oracle(h), atol=1e-12)
 
 
@@ -25,7 +25,19 @@ def test_assemble_bitwise_matches_oracle():
     rng = rng_for("assemble-exact")
     c = random_circuit(rng, n_input=2, n_ancilla=1, length=4)
     for h in (q.compile_circuit(c), random_povm_hamiltonian(rng, 5, 8)):
-        assert np.array_equal(q.assemble(h).entries, assemble_oracle(h))
+        assert np.array_equal(q.assemble(h), assemble_oracle(h))
+
+
+def test_assemble_returns_a_read_only_hermitian_array():
+    # each term passes its own 1e-12 Hermitian check, but weight 10 scales
+    # the defect to 1e-11, past the check on the weighted sum
+    lop = np.array([[0.0, 1e-12], [0.0, 0.0]])
+    ok = q.LocalHamiltonian(1, (q.LocalTerm("prop_hopping", 0.5, (0,), lop),))
+    mat = q.assemble(ok)
+    assert type(mat) is np.ndarray and not mat.flags.writeable
+    bad = q.LocalHamiltonian(1, (q.LocalTerm("prop_hopping", 10.0, (0,), lop),))
+    with pytest.raises(q.ValidationError, match="not Hermitian within 1e-12"):
+        q.assemble(bad)
 
 
 def fusion_instances(rng):

@@ -9,7 +9,7 @@ from qclock import thermal
 
 from conftest import (
     all_reject_circuit, assemble_oracle, random_circuit,
-    random_povm_hamiltonian, rng_for,
+    random_povm_hamiltonian, random_unit_interval_hermitian, rng_for,
 )
 
 
@@ -70,19 +70,52 @@ def test_ground_projector_state_degenerate_space():
 
 def test_ground_projector_state_grows_its_subset(monkeypatch):
     # one |1><1| penalty on qubit 0 of 5 leaves a 16-dim ground space, more
-    # than the first subset solve returns, so the subset must grow
-    sizes = []
+    # than the first subset solve returns, so one more solve, bounded by
+    # value, fetches the rest of it; a smaller ground space takes one solve
+    calls = []
     eigh = thermal._eigh
-    monkeypatch.setattr(thermal, "_eigh", lambda mat, k=None, vectors=True:
-                        sizes.append(k) or eigh(mat, k, vectors))
+
+    def record(mat, k=None, vectors=True, **bound):
+        calls.append((k, bound))
+        return eigh(mat, k, vectors, **bound)
+
+    monkeypatch.setattr(thermal, "_eigh", record)
     p1 = np.diag([0.0, 1.0]).astype(complex)
     h = q.LocalHamiltonian(5, (q.LocalTerm("in", 1.0, (0,), p1),))
     rho = q.ground_projector_state(h)
     assert rho.factor.shape == (32, 16)
     np.testing.assert_allclose(rho.entries, np.diag([1 / 16] * 16 + [0] * 16),
                                atol=1e-12)
-    assert len(sizes) > 1 and sizes[-2] <= 16 < sizes[-1]
-    assert all(b == 2 * a for a, b in zip(sizes, sizes[1:]))
+    [(k1, first), (k2, second)] = calls
+    assert (k1, first, k2) == (8, {}, None)
+    assert second["upper"] == pytest.approx(1e-10, abs=1e-15)  # lowest is 0
+    # penalties on qubits 0 and 1 of 5 leave an 8-dim ground space: all 8
+    # levels of the first solve are in it, so the second solve runs and
+    # returns exactly those 8
+    calls.clear()
+    h = q.LocalHamiltonian(5, tuple(q.LocalTerm("in", 1.0, (j,), p1) for j in (0, 1)))
+    assert q.ground_projector_state(h).factor.shape == (32, 8)
+    assert len(calls) == 2
+    # penalties on qubits 0-2 leave 4 ground levels, fewer than 8: one solve
+    calls.clear()
+    h = q.LocalHamiltonian(5, tuple(q.LocalTerm("in", 1.0, (j,), p1) for j in range(3)))
+    assert q.ground_projector_state(h).factor.shape == (32, 4)
+    assert calls == [(8, {})]
+
+
+def test_ground_space_factor_at_zero_tolerance():
+    # I (x) a has every level 16 times; at degeneracy_tol = 0 the first 8
+    # can come out equal while the solve bounded by value at that level
+    # finds fewer, or none, of them: the first solve's levels then stand
+    rng = rng_for("ground-below-rounding")
+    for _ in range(10):
+        a = random_unit_interval_hermitian(rng, 2)
+        mat = np.kron(np.eye(16), a)
+        f = q.ground_space_factor(mat, 0.0)
+        lowest = np.linalg.eigvalsh(a)[0]
+        assert f.shape[0] == 64 and 1 <= f.shape[1] <= 16
+        assert abs(np.vdot(f, f).real - 1.0) < 1e-12
+        np.testing.assert_allclose(mat @ f, lowest * f, atol=1e-12)
 
 
 def test_gibbs_reports_use_eigenvalues_only(monkeypatch):

@@ -343,6 +343,18 @@ def test_prepare_witness_refuses_legal_dimension_past_the_cap():
         q.prepare_witness(c, q.WitnessParams(k=3, seed=0), ground_source)
 
 
+def test_prepare_witness_checks_the_cap_before_any_dense_work(monkeypatch):
+    # 10 inputs + 1 ancilla, L = 2: 2048 * 3 legal dimensions, past the cap;
+    # the refusal comes before the 2048^2 circuit unitary is formed
+    def refuse(c):
+        raise AssertionError("circuit unitary formed before the cap check")
+
+    monkeypatch.setattr(circuit, "circuit_unitary", refuse)
+    c = q.parse_circuit("n_input 10\nn_ancilla 1\naccept 0\ngate H 0\ngate CNOT 0 10\n")
+    with pytest.raises(q.ResourceLimitError, match="dense cap"):
+        q.prepare_witness(c, q.WitnessParams(k=1, seed=0), ground_source)
+
+
 def test_prepare_witness_reports_the_projection_leak():
     # 1 input, 1 ancilla, L = 2: ||H1|| <= 1 + 1 + 3 = 5 and J = 2**12, so
     # the leak is 25 / (4096 - 10); the compiled ground energy lies within
