@@ -12,8 +12,8 @@ from .errors import (
     ResourceLimitError, ValidationError,
 )
 from .qcore import (
-    DENSE_QUBIT_CAP, QUBIT_CAP, DensityMatrix, Operator, PureState,
-    RegisterLayout, expectation, named_stream, operator_norm, partial_trace,
+    DENSE_QUBIT_CAP, QUBIT_CAP, DensityMatrix, PureState, RegisterLayout,
+    expectation, named_stream, operator_norm, partial_trace,
     read_matrix, read_state, state_digest, tensor_product, write_matrix,
     write_state,
 )
@@ -54,7 +54,7 @@ __all__ = [
     "AmplifyParams", "Circuit", "ClockState",
     "ConsistencyError", "ConvergenceError", "DecisionTemperature",
     "DENSE_QUBIT_CAP", "DensityMatrix", "EnergyBound", "Gate",
-    "LocalHamiltonian", "LocalTerm", "NAMED_GATES", "Operator",
+    "LocalHamiltonian", "LocalTerm", "NAMED_GATES",
     "OptimalWitness", "ParseError", "PARTS", "PromiseGap", "PureState",
     "QclockError", "QUBIT_CAP", "RegisterLayout", "ResourceLimitError",
     "SpectralReport", "TailBound", "Temperature", "ThermalReport",

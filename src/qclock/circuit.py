@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .qcore import (
-    _DEGENERACY_TOL, DensityMatrix, Operator, PureState, RegisterLayout,
-    _content_lines, _eigh, _entry_lines, _parse_entry_lines, apply_local,
-    expectation, fmt_float,
+    _DEGENERACY_TOL, DENSE_QUBIT_CAP, DensityMatrix, PureState, RegisterLayout,
+    _check_hermitian, _check_qubit_count, _check_unitary, _content_lines, _eigh,
+    _entry_lines, _parse_entry_lines, apply_local, expectation, fmt_float,
 )
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -71,10 +71,7 @@ class Gate:
             raise ValidationError(
                 f"Gate {self.label}: {k} targets but matrix shape {self.matrix.shape}"
             )
-        dim = 2 ** k
-        err = np.abs(self.matrix.conj().T @ self.matrix - np.eye(dim)).max()
-        if err > 1e-12:
-            raise ValidationError(f"Gate {self.label}: unitarity defect {err:.3e}")
+        _check_unitary(self.matrix, f"Gate {self.label}")
 
 
 @dataclass(frozen=True)
@@ -125,10 +122,16 @@ class OptimalWitness(NamedTuple):
     degenerate: bool
 
 
-def circuit_unitary(c: Circuit) -> Operator:
-    """Full-register unitary, gates[0] applied first: U = G_L ... G_1."""
+def circuit_unitary(c: Circuit) -> np.ndarray:
+    """Full-register unitary U = G_L ... G_1 (gates[0] applied first), as a
+    read-only 2^w x 2^w array. A register past DENSE_QUBIT_CAP is refused
+    before anything is allocated; U is checked unitary within 1e-12."""
     n = c.n_input + c.n_ancilla
-    return Operator(n, apply_gates(c, np.eye(2 ** n, dtype=complex)), "unitary")
+    _check_qubit_count(n, DENSE_QUBIT_CAP, "circuit_unitary")
+    u = apply_gates(c, np.eye(2 ** n, dtype=complex))
+    _check_unitary(u, "circuit_unitary")
+    u.flags.writeable = False
+    return u
 
 
 def apply_gates(c: Circuit, vec: np.ndarray) -> np.ndarray:
@@ -155,21 +158,25 @@ def accept_probability(c: Circuit, rho_input: DensityMatrix) -> float:
     return _accept_on(acceptance_operator(c), rho_input)
 
 
-def _accept_on(m: Operator, rho_input: DensityMatrix) -> float:
+def _accept_on(m: np.ndarray, rho_input: DensityMatrix) -> float:
     """tr(M rho_input) clipped to [0, 1], for an acceptance operator M."""
     p = expectation(rho_input, m)
     return min(max(p, 0.0), 1.0)
 
 
-def acceptance_operator(c: Circuit) -> Operator:
-    """Hermitian M on the input register with <psi|M|psi> = accept probability."""
+def acceptance_operator(c: Circuit) -> np.ndarray:
+    """M on the input register with <psi|M|psi> = accept probability, as a
+    read-only 2^n x 2^n array, checked Hermitian within 1e-12."""
     n, m = c.n_input, c.n_ancilla
-    u = circuit_unitary(c).entries
+    u = circuit_unitary(c)
     # columns with ancillas at |0..0>
     cols = (np.arange(2 ** n) << m)
     a = u[:, cols]
     mat = (a.conj().T * _accept_projector_diag(c)) @ a
-    return Operator(n, 0.5 * (mat + mat.conj().T), "hermitian")
+    mat = 0.5 * (mat + mat.conj().T)
+    _check_hermitian(mat, "acceptance_operator:")
+    mat.flags.writeable = False
+    return mat
 
 
 def optimal_witness(c: Circuit, degeneracy_tol: float = _DEGENERACY_TOL) -> OptimalWitness:
@@ -177,15 +184,15 @@ def optimal_witness(c: Circuit, degeneracy_tol: float = _DEGENERACY_TOL) -> Opti
     return _optimal_on(acceptance_operator(c), degeneracy_tol)
 
 
-def _optimal_on(m: Operator, degeneracy_tol: float = _DEGENERACY_TOL) -> OptimalWitness:
+def _optimal_on(m: np.ndarray, degeneracy_tol: float = _DEGENERACY_TOL) -> OptimalWitness:
     """optimal_witness for an acceptance operator M: its top eigenpair."""
-    evals, evecs = _eigh(m.entries)
+    evals, evecs = _eigh(m)
     top = evals[-1]
     degenerate = len(evals) > 1 and (top - evals[-2]) <= degeneracy_tol
     vec = evecs[:, -1]
     vec = vec / np.linalg.norm(vec)
-    return OptimalWitness(PureState(m.num_qubits, vec), float(np.clip(top, 0.0, 1.0)),
-                          bool(degenerate))
+    return OptimalWitness(PureState(len(m).bit_length() - 1, vec),
+                          float(np.clip(top, 0.0, 1.0)), bool(degenerate))
 
 
 def concatenate(c1: Circuit, c2: Circuit) -> Circuit:

@@ -39,9 +39,10 @@ import numpy as np
 
 from .errors import ParseError, ResourceLimitError, ValidationError
 from .qcore import (
-    DENSE_QUBIT_CAP, QUBIT_CAP, DensityMatrix, Operator, PureState,
-    RegisterLayout, _check_qubit_count, _content_lines, _entry_lines,
-    _parse_entry_lines, apply_local, fmt_float, permute_to_sorted,
+    DENSE_QUBIT_CAP, QUBIT_CAP, DensityMatrix, PureState, RegisterLayout,
+    _check_hermitian, _check_qubit_count, _check_unitary, _content_lines,
+    _entry_lines, _parse_entry_lines, _parse_header, apply_local, fmt_float,
+    permute_to_sorted,
 )
 from .circuit import Circuit, apply_gates
 
@@ -117,8 +118,7 @@ class LocalTerm:
             raise ValidationError(f"matrix shape {m.shape} does not match support {support}")
         if not np.isfinite(m).all():
             raise ValidationError("term matrix has a non-finite entry")
-        if np.abs(m - m.conj().T).max() > 1e-12:
-            raise ValidationError("term matrix not Hermitian within 1e-12")
+        _check_hermitian(m, "term matrix")
         evals = np.linalg.eigvalsh(m)
         if max(abs(evals[0]), abs(evals[-1])) > 1.0 + 1e-12:
             raise ValidationError(f"term norm {max(abs(evals)):.6f} exceeds 1")
@@ -372,16 +372,19 @@ def history_pull_back(c: Circuit, vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def history_transform(c: Circuit) -> Operator:
-    """Dense W, as the adjoint of history_pull_back on the identity.
+def history_transform(c: Circuit) -> np.ndarray:
+    """Dense W as a read-only array, the adjoint of history_pull_back on the
+    identity, checked unitary within 1e-12.
 
     Nothing in qclock calls it: the witness path pulls states back as
     vectors. It stays because bench/spans.py instruments it by name.
     """
     n = c.n_input + c.n_ancilla + c.length
     _check_qubit_count(n, DENSE_QUBIT_CAP, "history_transform")
-    w_dag = history_pull_back(c, np.eye(2 ** n, dtype=complex))
-    return Operator(n, w_dag.conj().T, "unitary")
+    w = history_pull_back(c, np.eye(2 ** n, dtype=complex)).conj().T
+    _check_unitary(w, "history_transform")
+    w.flags.writeable = False
+    return w
 
 
 def history_state(c: Circuit, input_state: PureState) -> PureState:
@@ -431,14 +434,7 @@ def parse_hamiltonian(text: str) -> LocalHamiltonian:
     lines = _content_lines(text)
     if len(lines) < 2:
         raise ParseError("expected `qubits N` and `layout n m L` headers", line=1)
-    lineno, head = lines[0]
-    parts = head.split()
-    if len(parts) != 2 or parts[0] != "qubits":
-        raise ParseError(f"expected `qubits N`, got {head!r}", line=lineno)
-    try:
-        total = int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad qubit count {parts[1]!r}", line=lineno) from None
+    total = _parse_header(lines)
     lineno, lay_line = lines[1]
     parts = lay_line.split()
     if len(parts) != 4 or parts[0] != "layout":

@@ -30,12 +30,13 @@ QUBIT_CAP = 16          # state vectors
 DENSE_QUBIT_CAP = 12    # dense matrices
 
 ATOL = 1e-12
+_HERMITIAN_BLOCK = 256   # rows per block of the Hermitian check
 _DEGENERACY_TOL = 1e-10  # default width of a degenerate extreme eigenspace
 _RESIDUAL_TARGET = 1e-8  # default ground-pair residual, relative to max(1, ||H||)
 
 __all__ = [
-    "QUBIT_CAP", "DENSE_QUBIT_CAP", "PureState", "DensityMatrix", "Operator",
-    "RegisterLayout", "tensor_product", "partial_trace", "expectation",
+    "QUBIT_CAP", "DENSE_QUBIT_CAP", "PureState", "DensityMatrix", "RegisterLayout",
+    "tensor_product", "partial_trace", "expectation",
     "operator_norm", "apply_local", "permute_to_sorted", "named_stream",
     "fmt_float", "read_state", "write_state", "read_matrix", "write_matrix",
     "state_digest",
@@ -49,6 +50,23 @@ def _check_qubit_count(num_qubits: int, cap: int, what: str):
         raise ResourceLimitError(
             f"{what} on {num_qubits} qubits exceeds the cap of {cap}"
         )
+
+
+def _check_hermitian(m: np.ndarray, what: str):
+    """ValidationError unless max|m - m^dag| <= 1e-12. Each block of rows is
+    compared with the matching block of columns, so no second n x n matrix
+    is formed."""
+    for i in range(0, len(m), _HERMITIAN_BLOCK):
+        rows = slice(i, i + _HERMITIAN_BLOCK)
+        if np.abs(m[rows] - m[:, rows].conj().T).max() > ATOL:
+            raise ValidationError(f"{what} not Hermitian within 1e-12")
+
+
+def _check_unitary(m: np.ndarray, what: str):
+    """ValidationError unless max|m^dag m - I| <= 1e-12."""
+    err = np.abs(m.conj().T @ m - np.eye(len(m))).max()
+    if err > 1e-12:
+        raise ValidationError(f"{what}: unitarity defect {err:.3e} above 1e-12")
 
 
 def _check_factor(f, rows: int, what: str) -> np.ndarray:
@@ -140,8 +158,7 @@ class DensityMatrix:
             raise ValidationError(f"DensityMatrix: expected shape {(dim, dim)}, got {m.shape}")
         if not np.isfinite(m).all():
             raise ValidationError("DensityMatrix: non-finite entry")
-        if np.abs(m - m.conj().T).max() > ATOL:
-            raise ValidationError("DensityMatrix: not Hermitian within 1e-12")
+        _check_hermitian(m, "DensityMatrix:")
         tr = np.trace(m)
         if abs(tr - 1.0) > 1e-12:
             raise ValidationError(f"DensityMatrix: trace {tr!r} is not 1 within 1e-12")
@@ -171,31 +188,6 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(num_qubits={self.num_qubits})"
-
-
-@dataclass(frozen=True)
-class Operator:
-    """Square matrix on num_qubits qubits, tagged hermitian/unitary/general."""
-
-    num_qubits: int
-    entries: np.ndarray = field(repr=False)
-    kind: str = "general"
-
-    def __post_init__(self):
-        _check_qubit_count(self.num_qubits, DENSE_QUBIT_CAP, "Operator")
-        m = _as_complex(self.entries)
-        object.__setattr__(self, "entries", m)
-        dim = 2 ** self.num_qubits
-        if m.shape != (dim, dim):
-            raise ValidationError(f"Operator: expected shape {(dim, dim)}, got {m.shape}")
-        if self.kind not in ("hermitian", "unitary", "general"):
-            raise ValidationError(f"Operator: unknown kind {self.kind!r}")
-        if self.kind == "hermitian" and np.abs(m - m.conj().T).max() > ATOL:
-            raise ValidationError("Operator: not Hermitian within 1e-12")
-        if self.kind == "unitary":
-            err = np.abs(m.conj().T @ m - np.eye(dim)).max()
-            if err > 1e-12:
-                raise ValidationError(f"Operator: unitarity defect {err:.3e} above 1e-12")
 
 
 @dataclass(frozen=True)
@@ -234,10 +226,10 @@ class RegisterLayout:
 
 
 def tensor_product(a, b):
-    """Kronecker product of two states / density matrices / operators.
+    """Kronecker product of two states or of two density matrices.
 
-    Operands must be the same type; operator kinds combine to hermitian or
-    unitary only when both factors share that kind.
+    Operands must be the same type. Operators are plain arrays, so their
+    product is np.kron.
     """
     if isinstance(a, PureState) and isinstance(b, PureState):
         n = a.num_qubits + b.num_qubits
@@ -247,11 +239,6 @@ def tensor_product(a, b):
         n = a.num_qubits + b.num_qubits
         _check_qubit_count(n, DENSE_QUBIT_CAP, "tensor_product")
         return DensityMatrix(n, np.kron(a.entries, b.entries))
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        n = a.num_qubits + b.num_qubits
-        _check_qubit_count(n, DENSE_QUBIT_CAP, "tensor_product")
-        kind = a.kind if a.kind == b.kind else "general"
-        return Operator(n, np.kron(a.entries, b.entries), kind)
     raise ValidationError(
         f"tensor_product: mismatched operand types "
         f"{type(a).__name__}/{type(b).__name__}"
@@ -272,19 +259,23 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(len(keep), t.reshape(dim, dim))
 
 
-def expectation(rho: DensityMatrix, op: Operator) -> float:
-    """tr(rho A) for Hermitian A; errors if the imaginary residue exceeds 1e-8."""
-    if rho.num_qubits != op.num_qubits:
-        raise ValidationError("expectation: qubit count mismatch")
-    val = np.sum(rho.entries * op.entries.T)
+def expectation(rho: DensityMatrix, a: np.ndarray) -> float:
+    """tr(rho A) for a Hermitian array A of rho's shape (ValidationError
+    otherwise); ConsistencyError if the imaginary residue exceeds 1e-8."""
+    a = np.asarray(a)
+    dim = 2 ** rho.num_qubits
+    if a.shape != (dim, dim):
+        raise ValidationError(
+            f"expectation: operator shape {a.shape} does not match {rho.num_qubits} qubits")
+    val = np.sum(rho.entries * a.T)
     if abs(val.imag) > 1e-8:
         raise ConsistencyError(f"expectation: imaginary residue {val.imag:.3e} above 1e-8")
     return float(val.real)
 
 
-def operator_norm(op: Operator) -> float:
-    """Largest singular value."""
-    return float(np.linalg.svd(op.entries, compute_uv=False)[0])
+def operator_norm(a: np.ndarray) -> float:
+    """Largest singular value of a matrix."""
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def _eigh(mat: np.ndarray, k: int | None = None, vectors: bool = True, *,
@@ -377,7 +368,7 @@ def named_stream(seed: int, name: str) -> np.random.Generator:
 
 
 def state_digest(array) -> str:
-    """Short stable checksum of a complex array or state (used in reports)."""
+    """Short stable checksum of a complex array, PureState or DensityMatrix."""
     array = getattr(array, "amplitudes", getattr(array, "entries", array))
     data = np.ascontiguousarray(np.asarray(array, dtype=complex))
     return hashlib.sha256(data.tobytes()).hexdigest()[:16]

@@ -22,8 +22,8 @@ import scipy.sparse.linalg
 
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
 from .qcore import (
-    _RESIDUAL_TARGET, ATOL, DENSE_QUBIT_CAP, QUBIT_CAP, PureState, _eigh,
-    _scatter_entries, apply_local, fmt_float, named_stream,
+    _RESIDUAL_TARGET, DENSE_QUBIT_CAP, QUBIT_CAP, PureState, _check_hermitian,
+    _eigh, _scatter_entries, apply_local, fmt_float, named_stream,
 )
 from .clockham import LocalHamiltonian
 
@@ -71,8 +71,7 @@ def assemble(h: LocalHamiltonian) -> np.ndarray:
         # exact, and terms add in list order
         rows, cols, vals = _scatter_entries(term.matrix, term.support, n)
         total[rows, cols] += term.weight * vals
-    if np.abs(total - total.conj().T).max() > ATOL:
-        raise ValidationError("assemble: weighted sum not Hermitian within 1e-12")
+    _check_hermitian(total, "assemble: weighted sum")
     total.flags.writeable = False
     return total
 

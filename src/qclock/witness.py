@@ -25,9 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .qcore import (
-    DensityMatrix, Operator, RegisterLayout, _check_factor, named_stream,
-)
+from .qcore import DensityMatrix, RegisterLayout, _check_factor, named_stream
 from .circuit import (
     EXPLICIT_LABELS, Circuit, Gate, _accept_on, _optimal_on, acceptance_operator,
 )
@@ -77,7 +75,7 @@ def hamiltonian_energy(rho: DensityMatrix, h: LocalHamiltonian) -> float:
     return float(np.vdot(f, matvec(h, f)).real)
 
 
-def _witness_tail(f: np.ndarray, m: Operator, meta: Circuit,
+def _witness_tail(f: np.ndarray, m: np.ndarray, meta: Circuit,
                   pick: int | None = None):
     """Read an input witness of c out of a history-frame factor F of meta.
 
@@ -90,7 +88,7 @@ def _witness_tail(f: np.ndarray, m: Operator, meta: Circuit,
     `pick` alone: the state with factor [A_1 ... A_k] / sqrt(k). Returns
     (witness, acceptance of c on it).
     """
-    n = m.num_qubits
+    n = len(m).bit_length() - 1
     blocks = range(meta.n_input // n) if pick is None else (pick,)
     a = np.hstack([f.reshape(2 ** (i * n), 2 ** n, -1).swapaxes(0, 1).reshape(2 ** n, -1)
                    for i in blocks])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qclock as q
+from qclock import circuit
 
 from conftest import (
     accept_oracle, random_circuit, random_pure_state, rng_for, unitary_oracle,
@@ -58,7 +59,7 @@ def test_circuit_validation():
 
 def test_circuit_unitary_is_ordered_product():
     c = bell_circuit()
-    u = q.circuit_unitary(c).entries
+    u = q.circuit_unitary(c)
     # oracle built by hand: CNOT(0,1) * (H (x) I), qubit 0 = leftmost factor
     h_first = np.kron(q.NAMED_GATES["H"], np.eye(2))
     cnot = np.zeros((4, 4))
@@ -66,6 +67,21 @@ def test_circuit_unitary_is_ordered_product():
         for b in range(2):
             cnot[(a << 1) | (b ^ a), (a << 1) | b] = 1.0
     np.testing.assert_allclose(u, cnot @ h_first, atol=1e-14)
+    assert not u.flags.writeable
+
+
+def test_dense_cap_is_checked_before_the_unitary_is_built(monkeypatch):
+    # 1 input + 12 ancillas: the 2^13 x 2^13 unitary alone is 1 GiB
+    def refuse(c, vec):
+        raise AssertionError("gates applied before the cap check")
+
+    monkeypatch.setattr(circuit, "apply_gates", refuse)
+    c = q.parse_circuit("n_input 1\nn_ancilla 12\naccept 0\ngate H 0\n")
+    for build in (q.circuit_unitary, q.acceptance_operator, q.optimal_witness):
+        with pytest.raises(q.ResourceLimitError, match="circuit_unitary on 13 qubits"):
+            build(c)
+    with pytest.raises(q.ResourceLimitError, match="circuit_unitary on 13 qubits"):
+        q.accept_probability(c, q.PureState.computational(1, 0).density())
 
 
 def test_apply_gates_matches_unitary():
@@ -105,7 +121,7 @@ def test_acceptance_operator_matches_direct_runs():
     rng = rng_for("accept-op")
     for _ in range(6):
         c = random_circuit(rng, n_input=2, n_ancilla=1)
-        m = q.acceptance_operator(c).entries
+        m = q.acceptance_operator(c)
         s = random_pure_state(rng, 2)
         rho = np.outer(s.amplitudes, s.amplitudes.conj())
         direct = accept_oracle(c, rho)
@@ -119,7 +135,7 @@ def test_optimal_witness_attains_operator_top():
     rng = rng_for("opt-witness")
     c = random_circuit(rng, n_input=2, n_ancilla=1, length=4)
     opt = q.optimal_witness(c)
-    m = q.acceptance_operator(c).entries
+    m = q.acceptance_operator(c)
     top = np.linalg.eigvalsh(m)[-1]
     assert abs(opt.probability - top) < 1e-12
     rho = np.outer(opt.state.amplitudes, opt.state.amplitudes.conj())
@@ -138,8 +154,8 @@ def test_concatenate():
     c2 = q.Circuit(q.RegisterLayout(2, 0), (q.Gate("Z", (0,)),), 1)
     seq = q.concatenate(c1, c2)
     assert seq.length == 3
-    u = q.circuit_unitary(seq).entries
-    want = q.circuit_unitary(c2).entries @ q.circuit_unitary(c1).entries
+    u = q.circuit_unitary(seq)
+    want = q.circuit_unitary(c2) @ q.circuit_unitary(c1)
     np.testing.assert_allclose(u, want, atol=1e-14)
     with pytest.raises(q.ValidationError):
         q.concatenate(c1, q.Circuit(q.RegisterLayout(1, 0), (q.Gate("X", (0,)),), 0))

@@ -328,9 +328,18 @@ def test_exit_code_term_support_outside_register(tmp_path, capsys):
 
 def test_exit_code_negative_layout(tmp_path, capsys):
     bad = tmp_path / "bad.ham"
-    bad.write_text("qubits -1\nlayout -1 0 0\n")
+    bad.write_text("qubits 0\nlayout -1 0 0\n")
     assert main(["spectrum", str(bad)]) == 2
     assert "line 2: RegisterLayout: negative register size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layout", ["0 0 0", "-1 0 0"])
+def test_exit_code_negative_header(layout, tmp_path, capsys):
+    # the header is read by the same parser as state and matrix files
+    bad = tmp_path / "bad.ham"
+    bad.write_text(f"qubits -1\nlayout {layout}\n")
+    assert main(["spectrum", str(bad)]) == 2
+    assert "line 1: negative qubit count -1" in capsys.readouterr().err
 
 
 def test_exit_code_missing_file(capsys):

@@ -140,7 +140,7 @@ def test_history_pull_back_matches_dense_oracle():
     w = history_transform_oracle(c)
     x = rng.normal(size=(w.shape[0], 3)) + 1j * rng.normal(size=(w.shape[0], 3))
     np.testing.assert_allclose(q.history_pull_back(c, x), w.conj().T @ x, atol=1e-12)
-    np.testing.assert_allclose(history_transform(c).entries, w, atol=1e-12)
+    np.testing.assert_allclose(history_transform(c), w, atol=1e-12)
     with pytest.raises(q.ValidationError):
         q.history_pull_back(c, x[:-1])
 

@@ -6,7 +6,9 @@ import pytest
 import scipy.linalg
 
 import qclock as q
-from qclock.qcore import apply_local, fmt_float, permute_to_sorted
+from qclock.qcore import (
+    _check_hermitian, _check_unitary, apply_local, fmt_float, permute_to_sorted,
+)
 
 from conftest import (
     partial_trace_oracle, random_density_matrix, random_pure_state, rng_for,
@@ -143,8 +145,38 @@ def test_expectation_real_and_complex_guard():
     rng = rng_for("expect")
     rho = random_density_matrix(rng, 2)
     h = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
-    val = q.expectation(rho, q.Operator(2, h, kind="hermitian"))
+    val = q.expectation(rho, h)
     assert abs(val - np.trace(rho.entries @ h).real) < 1e-12
+
+
+def test_expectation_refuses_a_mismatched_shape():
+    rho = random_density_matrix(rng_for("expect-shape"), 2)
+    for bad in (np.eye(8), np.eye(2), np.ones(4)):
+        with pytest.raises(q.ValidationError, match="does not match 2 qubits"):
+            q.expectation(rho, bad)
+
+
+@pytest.mark.parametrize("where", [(511, 300), (255, 256), (0, 511)])
+def test_hermitian_check_sees_every_row_block(where):
+    # 512 rows span two blocks: a defect in the last block, one straddling
+    # the boundary, and one whose transpose lies in the last block
+    rng = rng_for("hermitian-blocks")
+    a = rng.normal(size=(512, 512)) + 1j * rng.normal(size=(512, 512))
+    h = a + a.conj().T
+    _check_hermitian(h, "h")
+    bad = h.copy()
+    bad[where] += 2e-12
+    with pytest.raises(q.ValidationError, match="h not Hermitian within 1e-12"):
+        _check_hermitian(bad, "h")
+    ok = np.zeros((512, 512), dtype=complex)
+    ok[where] = 1e-12
+    _check_hermitian(ok, "h")
+
+
+def test_unitary_check():
+    _check_unitary(q.NAMED_GATES["H"], "H")
+    with pytest.raises(q.ValidationError, match="u: unitarity defect 2.000e-12 above 1e-12"):
+        _check_unitary(np.diag([1.0, 1.0 + 1e-12]), "u")
 
 
 def test_embed_matrix_permutation():
@@ -181,7 +213,7 @@ def test_permute_to_sorted_matches_swap_conjugation():
 
 def test_operator_norm():
     h = np.array([[0.0, 2.0], [2.0, 0.0]])
-    assert abs(q.operator_norm(q.Operator(1, h.astype(complex))) - 2.0) < 1e-12
+    assert abs(q.operator_norm(h.astype(complex)) - 2.0) < 1e-12
 
 
 def test_named_stream_determinism_and_separation():

@@ -148,7 +148,7 @@ def test_replicate_circuit_blocks():
     joint = np.array([1.0 + 0j])
     for _ in range(3):
         joint = np.kron(joint, inp.amplitudes)
-    u = q.circuit_unitary(meta).entries
+    u = q.circuit_unitary(meta)
     anc = np.zeros(2 ** meta.n_ancilla)
     anc[0] = 1.0
     out = u @ np.kron(joint, anc)
