@@ -55,24 +55,25 @@ def _guard(x: float) -> float:
     return round(x, 9)
 
 
-def majority_threshold(p: AmplifyParams) -> int:
-    """l = ceil(k (1 - eps - k^(-1/4))); accepts need count > the raw fraction."""
+def _threshold_count(p: AmplifyParams) -> float:
+    """k (1 - eps - k^(-1/4)), guarded; ValidationError unless the fraction
+    is positive."""
     f = p.threshold_fraction
     if f <= 0.0:
         raise ValidationError(
             f"threshold fraction {f:.6f} <= 0: k={p.k} too small for eps={p.epsilon}"
         )
-    return int(math.ceil(_guard(p.k * f)))
+    return _guard(p.k * f)
+
+
+def majority_threshold(p: AmplifyParams) -> int:
+    """l = ceil(k (1 - eps - k^(-1/4))); accepts need count > the raw fraction."""
+    return int(math.ceil(_threshold_count(p)))
 
 
 def _reject_cutoff(p: AmplifyParams) -> int:
     # largest count that still rejects; ties (count == k*f exactly) reject
-    f = p.threshold_fraction
-    if f <= 0.0:
-        raise ValidationError(
-            f"threshold fraction {f:.6f} <= 0: k={p.k} too small for eps={p.epsilon}"
-        )
-    return int(math.floor(_guard(p.k * f)))
+    return int(math.floor(_threshold_count(p)))
 
 
 def exact_reject_prob(p: AmplifyParams, single_accept: float) -> float:

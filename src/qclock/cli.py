@@ -150,7 +150,10 @@ def cmd_amplify(args, tol) -> str:
         grid = {}
         for clause in args.sweep.split(";"):
             name, _, vals = clause.partition("=")
-            grid[name.strip()] = vals
+            name = name.strip()
+            if name in grid:
+                raise ValidationError(f"--sweep repeats {name}")
+            grid[name] = vals
         if set(grid) != {"k", "eps"}:
             raise ValidationError("--sweep expects `k=...;eps=...`")
         ks, epss = _ints(grid["k"]), _floats(grid["eps"])
@@ -161,7 +164,7 @@ def cmd_amplify(args, tol) -> str:
         for eps in epss:
             p = AmplifyParams(k, eps)
             tb = tail_bounds(p)
-            if args.mc > 0:
+            if args.mc:  # simulate_majority_vote refuses a negative count
                 est, err = simulate_majority_vote(p, 1.0 - eps, args.mc, seed=args.seed)
                 mc_est, mc_err = fmt_float(est), fmt_float(err)
             else:

@@ -40,11 +40,10 @@ import numpy as np
 from .errors import ParseError, ResourceLimitError, ValidationError
 from .qcore import (
     DENSE_QUBIT_CAP, QUBIT_CAP, DensityMatrix, PureState, RegisterLayout,
-    _check_hermitian, _check_qubit_count, _check_unitary, _content_lines,
-    _entry_lines, _parse_entry_lines, _parse_header, apply_local, fmt_float,
-    permute_to_sorted,
+    _check_hermitian, _check_qubit_count, _content_lines, _entry_lines,
+    _parse_entry_lines, _parse_header, _qubit_bits, apply_local, fmt_float,
 )
-from .circuit import Circuit, apply_gates
+from .circuit import Circuit, _conjugate_diagonal, circuit_unitary
 
 PARTS = ("in", "out", "prop_projector", "prop_hopping", "clock")
 _PSD_PARTS = ("in", "out", "prop_projector", "clock")
@@ -165,16 +164,18 @@ class LocalHamiltonian:
     def fused(self) -> tuple:
         """The terms merged into a few (support, matrix) groups: matrix is
         the weighted sum of the group's terms on the sorted union of their
-        supports, so H = sum of the embedded group matrices. Built once, on
+        supports, each term embedded by apply_local on the group's
+        identity, so H = sum of the embedded group matrices. Built once, on
         first use; the Hamiltonian is immutable, so it never goes stale."""
         plan = []
         for support, members in _fusion_groups(self.terms):
+            k = len(support)
+            eye = np.eye(2 ** k, dtype=complex)
             total = 0
             for j in members:
                 term = self.terms[j]
-                rest = [q for q in support if q not in term.support]
-                wide = np.kron(term.weight * term.matrix, np.eye(2 ** len(rest)))
-                total = total + permute_to_sorted(wide, list(term.support) + rest)[1]
+                at = [support.index(q) for q in term.support]
+                total = total + apply_local(term.weight * term.matrix, at, k, eye)
             total.flags.writeable = False
             plan.append((support, total))
         return tuple(plan)
@@ -272,11 +273,15 @@ def compile_circuit(c: Circuit, clock_penalty: float | None = None,
             support, mat = _time_projector(layout, s)
             terms.append(LocalTerm("prop_projector", 0.5, support, mat))
         gate = c.gates[t - 1]
-        u = gate.matrix
+        u, targets = gate.matrix, gate.targets
+        if targets != tuple(sorted(targets)):
+            # swap a 2-qubit gate's factors so its targets ascend; the clock
+            # qubit t sorts after every target
+            u = u.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+            targets = targets[::-1]
         hop = -(np.kron(u, _LOWER) + np.kron(u.conj().T, _LOWER.T))
-        support = list(gate.targets) + [layout.clock_qubit(t)]
-        support, hop = permute_to_sorted(hop, support)
-        terms.append(LocalTerm("prop_hopping", 0.5, tuple(support), hop))
+        support = targets + (layout.clock_qubit(t),)
+        terms.append(LocalTerm("prop_hopping", 0.5, support, hop))
 
     return LocalHamiltonian(layout, tuple(terms))
 
@@ -334,17 +339,17 @@ def legal_hamiltonian(c: Circuit, accept_qubits=None) -> np.ndarray:
         )
     accept_qubits = _accept_qubits(c, accept_qubits)
     x = np.arange(2 ** width)
-    bit = lambda q: (x >> (width - 1 - q)) & 1  # noqa: E731 - qubit 0 is the high bit
-    ancilla_ones = sum((bit(a) for a in range(c.n_input, width)), np.zeros(x.size))
-    rejects = sum((1 - bit(acc) for acc in accept_qubits), np.zeros(x.size))
-    u = apply_gates(c, np.eye(x.size, dtype=complex))
-    q = (u.conj().T * rejects) @ u
+    ancilla_ones = sum((_qubit_bits(width, a) for a in range(c.n_input, width)),
+                       np.zeros(x.size))
+    rejects = sum((1 - _qubit_bits(width, acc) for acc in accept_qubits),
+                  np.zeros(x.size))
+    q = _conjugate_diagonal(circuit_unitary(c), rejects)
     walk = (np.diag(np.r_[0.5, np.ones(length - 1), 0.5])
             - 0.5 * np.eye(length + 1, k=1) - 0.5 * np.eye(length + 1, k=-1))
     h = np.zeros((x.size, length + 1, x.size, length + 1), dtype=complex)
     h[x, :, x, :] = walk
     h[x, 0, x, 0] += ancilla_ones
-    h[:, length, :, length] += 0.5 * (q + q.conj().T)
+    h[:, length, :, length] += q
     return h.reshape(dim, dim)
 
 
@@ -374,7 +379,8 @@ def history_pull_back(c: Circuit, vecs: np.ndarray) -> np.ndarray:
 
 def history_transform(c: Circuit) -> np.ndarray:
     """Dense W as a read-only array, the adjoint of history_pull_back on the
-    identity, checked unitary within 1e-12.
+    identity. W is a product of controlled copies of the circuit's gates,
+    each checked unitary when it was built, so W is not checked again.
 
     Nothing in qclock calls it: the witness path pulls states back as
     vectors. It stays because bench/spans.py instruments it by name.
@@ -382,7 +388,6 @@ def history_transform(c: Circuit) -> np.ndarray:
     n = c.n_input + c.n_ancilla + c.length
     _check_qubit_count(n, DENSE_QUBIT_CAP, "history_transform")
     w = history_pull_back(c, np.eye(2 ** n, dtype=complex)).conj().T
-    _check_unitary(w, "history_transform")
     w.flags.writeable = False
     return w
 

@@ -37,7 +37,7 @@ _RESIDUAL_TARGET = 1e-8  # default ground-pair residual, relative to max(1, ||H|
 __all__ = [
     "QUBIT_CAP", "DENSE_QUBIT_CAP", "PureState", "DensityMatrix", "RegisterLayout",
     "tensor_product", "partial_trace", "expectation",
-    "operator_norm", "apply_local", "permute_to_sorted", "named_stream",
+    "operator_norm", "apply_local", "named_stream",
     "fmt_float", "read_state", "write_state", "read_matrix", "write_matrix",
     "state_digest",
 ]
@@ -297,6 +297,11 @@ def _eigh(mat: np.ndarray, k: int | None = None, vectors: bool = True, *,
         raise ConvergenceError(f"dense eigensolver failed: {exc}") from None
 
 
+def _qubit_bits(n: int, q: int) -> np.ndarray:
+    """The bit of qubit q in every n-qubit basis index, in index order."""
+    return (np.arange(2 ** n) >> (n - 1 - q)) & 1
+
+
 def _scatter_table(positions, n: int) -> np.ndarray:
     """Map every k-bit value onto its n-bit index with bits at `positions`."""
     k = len(positions)
@@ -338,23 +343,6 @@ def apply_local(matrix: np.ndarray, support, n: int, vec: np.ndarray) -> np.ndar
     t = matrix @ t
     t = t.reshape((2,) * n + cols).transpose(list(np.argsort(perm)) + col_axes)
     return t.reshape(vec.shape)
-
-
-def permute_to_sorted(matrix: np.ndarray, qubits):
-    """Rewrite a k-qubit matrix given on `qubits` order onto sorted(qubits).
-
-    Returns (sorted_qubits, permuted_matrix).
-    """
-    qubits = [int(q) for q in qubits]
-    k = len(qubits)
-    order = sorted(range(k), key=lambda i: qubits[i])
-    if order == list(range(k)):
-        return qubits, matrix
-    perm = np.argsort(order)  # position of factor i in the sorted matrix
-    t = matrix.reshape((2,) * (2 * k))
-    axes = tuple(order) + tuple(o + k for o in order)
-    t = t.transpose(axes)
-    return sorted(qubits), np.ascontiguousarray(t.reshape(2 ** k, 2 ** k))
 
 
 def named_stream(seed: int, name: str) -> np.random.Generator:

@@ -67,6 +67,14 @@ def all_reject_circuit(rng, n_input: int, length: int) -> Circuit:
                    accept_qubit=n_input, epsilon=0.25)
 
 
+def marginal_circuit() -> Circuit:
+    """Two copies of U1 = diag(1, 1 + 4.5e-13) on one input qubit. Each
+    gate's unitarity defect, 9.0e-13, is inside the 1e-12 that Gate allows;
+    the defect of their product, 1.8e-12, is not."""
+    gate = Gate("U1", (0,), np.diag([1.0, 1.0 + 4.5e-13]))
+    return Circuit(RegisterLayout(1, 0), (gate, gate), accept_qubit=0)
+
+
 def random_pure_state(rng, num_qubits: int) -> PureState:
     v = rng.normal(size=2 ** num_qubits) + 1j * rng.normal(size=2 ** num_qubits)
     return PureState(num_qubits, v / np.linalg.norm(v))

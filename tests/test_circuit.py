@@ -5,7 +5,8 @@ import qclock as q
 from qclock import circuit
 
 from conftest import (
-    accept_oracle, random_circuit, random_pure_state, rng_for, unitary_oracle,
+    accept_oracle, marginal_circuit, random_circuit, random_pure_state, rng_for,
+    unitary_oracle,
 )
 
 
@@ -36,6 +37,8 @@ def test_gate_validation():
         q.Gate("U1", (0,), matrix=np.array([[1.0, 0.0], [1.0, 0.0]]))  # not unitary
     with pytest.raises(q.ValidationError):
         q.Gate("H", (0,), matrix=np.eye(2))  # named gates carry no payload
+    with pytest.raises(q.ValidationError, match="unitarity defect 2.000e-12"):
+        q.Gate("U1", (0,), matrix=np.diag([1.0, 1.0 + 1e-12]))
     g = q.Gate("U1", (2,), matrix=np.array([[0, 1], [1, 0]], dtype=complex))
     assert g.label == "U1" and g.targets == (2,)
 
@@ -129,6 +132,22 @@ def test_acceptance_operator_matches_direct_runs():
         assert abs(direct - quad) < 1e-12
         got = q.accept_probability(c, q.DensityMatrix(2, rho))
         assert abs(got - direct) < 1e-12
+
+
+def test_products_of_checked_gates_are_not_checked_again():
+    # each gate passes Gate's unitarity check; their product would not
+    c = marginal_circuit()
+    np.testing.assert_allclose(q.circuit_unitary(c), unitary_oracle(c), atol=1e-12)
+    m = q.acceptance_operator(c)
+    for rho in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.full((2, 2), 0.5)):
+        assert abs(np.trace(m @ rho).real - accept_oracle(c, rho)) < 1e-12
+
+
+def test_acceptance_operator_is_exactly_hermitian():
+    rng = rng_for("accept-hermitian")
+    for _ in range(6):
+        m = q.acceptance_operator(random_circuit(rng))
+        assert np.array_equal(m, m.conj().T)
 
 
 def test_optimal_witness_attains_operator_top():

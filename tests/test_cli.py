@@ -8,7 +8,7 @@ import scipy.linalg
 import qclock as q
 from qclock.cli import main
 
-from conftest import checkout_env
+from conftest import checkout_env, marginal_circuit
 
 
 CIRCUIT = """\
@@ -99,6 +99,16 @@ def test_witness_output_block(circuit_file, capsys):
     n, entries = q.read_matrix(head)
     assert n == 1
     assert abs(np.trace(entries) - 1.0) < 1e-12
+
+
+def test_witness_of_marginal_gates(tmp_path, capsys):
+    # each gate passes Gate's unitarity check and the file compiles, so the
+    # witness run must not refuse the product of the two gates
+    path = tmp_path / "marginal.qc"
+    path.write_text(q.serialize_circuit(marginal_circuit()))
+    assert main(["compile", str(path)]) == 0
+    assert main(["witness", str(path)]) == 0
+    assert "accept_probability 1\n" in capsys.readouterr().out
 
 
 def test_witness_gibbs_source(circuit_file, capsys):
@@ -226,6 +236,9 @@ def test_amplify_mc_columns(capsys):
     est, err = float(row[6]), float(row[7])
     assert 0.0 <= est <= 1.0 and err >= 0.0
     assert row[8] == "3"
+    assert main(["amplify", "--k", "16", "--eps", "0.25", "--mc", "-5"]) == 2
+    cap = capsys.readouterr()
+    assert "shots -5 must be >= 1" in cap.err and cap.out == ""
 
 
 def test_amplify_sweep_grammar(capsys):
@@ -233,6 +246,9 @@ def test_amplify_sweep_grammar(capsys):
     rows = capsys.readouterr().out.strip().split("\n")
     assert len(rows) == 3
     assert main(["amplify", "--sweep", "k=16"]) == 2
+    assert main(["amplify", "--sweep", "k=16;eps=0.25;k=81"]) == 2
+    cap = capsys.readouterr()
+    assert "--sweep repeats k" in cap.err and cap.out == ""
     assert main(["amplify"]) == 2  # nothing to tabulate
 
 

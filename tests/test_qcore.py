@@ -6,9 +6,7 @@ import pytest
 import scipy.linalg
 
 import qclock as q
-from qclock.qcore import (
-    _check_hermitian, _check_unitary, apply_local, fmt_float, permute_to_sorted,
-)
+from qclock.qcore import _check_hermitian, _check_unitary, apply_local, fmt_float
 
 from conftest import (
     partial_trace_oracle, random_density_matrix, random_pure_state, rng_for,
@@ -194,21 +192,6 @@ def test_embed_matrix_permutation():
                 continue
             oracle[i, j] = m[(bi[1] << 1) | bi[3], (bj[1] << 1) | bj[3]]
     np.testing.assert_allclose(got, oracle, atol=1e-14)
-
-
-def test_permute_to_sorted_matches_swap_conjugation():
-    rng = rng_for("permute")
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    qubits, out = permute_to_sorted(m, (3, 1))
-    assert qubits == [1, 3]
-    swap = np.zeros((4, 4))
-    for a in range(2):
-        for b in range(2):
-            swap[(b << 1) | a, (a << 1) | b] = 1.0
-    np.testing.assert_allclose(out, swap @ m @ swap, atol=1e-14)
-    # already sorted: unchanged object
-    qubits2, out2 = permute_to_sorted(m, (0, 2))
-    assert qubits2 == [0, 2] and out2 is m
 
 
 def test_operator_norm():
