@@ -311,6 +311,18 @@ def _accept_qubits(c: Circuit, accept_qubits):
     return accept_qubits
 
 
+def _legal_dimension(width: int, length: int) -> int:
+    """2^width (length + 1), the legal clock dimension; ResourceLimitError
+    past the dense cap. A width past it is refused without forming 2^width,
+    whose digits can pass Python's integer-to-string limit."""
+    fits = width <= DENSE_QUBIT_CAP
+    dim = 2 ** width * (length + 1) if fits else f"2**{width} * {length + 1}"
+    if not fits or dim > 2 ** DENSE_QUBIT_CAP:
+        raise ResourceLimitError(f"legal_hamiltonian of dimension {dim} exceeds "
+                                 f"the dense cap of 2**{DENSE_QUBIT_CAP}")
+    return dim
+
+
 def legal_hamiltonian(c: Circuit, accept_qubits=None) -> np.ndarray:
     """in + out + prop of compile_circuit(c, accept_qubits=...) on the legal
     clock states, conjugated by the history transform W: a dense Hermitian
@@ -331,12 +343,7 @@ def legal_hamiltonian(c: Circuit, accept_qubits=None) -> np.ndarray:
     2**DENSE_QUBIT_CAP raise ResourceLimitError.
     """
     width, length = c.n_input + c.n_ancilla, c.length
-    dim = 2 ** width * (length + 1)
-    if dim > 2 ** DENSE_QUBIT_CAP:
-        raise ResourceLimitError(
-            f"legal_hamiltonian of dimension {dim} exceeds the dense cap of "
-            f"2**{DENSE_QUBIT_CAP}"
-        )
+    dim = _legal_dimension(width, length)
     accept_qubits = _accept_qubits(c, accept_qubits)
     x = np.arange(2 ** width)
     ancilla_ones = sum((_qubit_bits(width, a) for a in range(c.n_input, width)),

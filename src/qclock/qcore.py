@@ -3,8 +3,9 @@
 Convention used everywhere: qubit 0 is the leftmost tensor factor, i.e. the
 most significant bit of a computational basis index. A register of N qubits
 is stored as a length 2**N vector (states) or a 2**N x 2**N matrix
-(operators, density matrices), complex128, row-major; a density matrix
-may instead be held as a 2**N x r square-root factor.
+(operators, density matrices), complex128, row-major; every density
+matrix also holds a 2**N x r square-root factor, and one built from a
+factor forms its matrix only on demand.
 
 Vectors are allowed up to QUBIT_CAP qubits, dense matrices up to
 DENSE_QUBIT_CAP; past that the constructors raise ResourceLimitError rather
@@ -124,17 +125,17 @@ class PureState:
 
 
 class DensityMatrix:
-    """Hermitian, unit-trace, PSD matrix rho on num_qubits qubits.
+    """Hermitian, unit-trace, PSD matrix rho on num_qubits qubits, stored as
+    a 2^n x r square-root factor F with rho = F F^dag.
 
-    Built from entries, DensityMatrix(n, rho) checks rho itself: finite,
-    Hermitian and unit trace within 1e-12, PSD within 1e-10. Built from a
-    square-root factor, DensityMatrix(n, factor=F) with 2^n rows and
-    rho = F F^dag, it checks F: finite, with tr(rho) = ||F||_F^2 = 1 within
-    1e-12; rho is Hermitian and PSD by construction, so no eigensolver
-    runs. The form a state was not built from is derived once, on first
-    use: `entries` as F F^dag, `factor` from an eigendecomposition of the
-    entries. Energies, expectations and pull-backs read `factor`, so a
-    state built from one never forms a 2^n x 2^n matrix.
+    Built from a factor, DensityMatrix(n, factor=F) checks F: finite, with
+    tr(rho) = ||F||_F^2 = 1 within 1e-12; rho is PSD by construction, so no
+    eigensolver runs. Built from entries, DensityMatrix(n, rho) checks rho:
+    finite, Hermitian and unit trace within 1e-12, and PSD within 1e-10 by
+    the one eigendecomposition that also gives F. `entries` is the given
+    array, or F F^dag formed on first use. Energies, pull-backs and
+    partial traces read F, so a state built from one never forms a
+    2^n x 2^n matrix.
     """
 
     def __init__(self, num_qubits: int, entries=None, *, factor=None):
@@ -162,26 +163,24 @@ class DensityMatrix:
         tr = np.trace(m)
         if abs(tr - 1.0) > 1e-12:
             raise ValidationError(f"DensityMatrix: trace {tr!r} is not 1 within 1e-12")
-        evals = _eigh(m, vectors=False)
-        if evals.min() < -1e-10:
+        evals, evecs = _eigh(m)
+        if evals[0] < -1e-10:
             raise ValidationError(
-                f"DensityMatrix: negative eigenvalue {evals.min():.3e} below -1e-10"
+                f"DensityMatrix: negative eigenvalue {evals[0]:.3e} below -1e-10"
             )
+        # a backward-stable eigensolver resolves eigenvalues only to about
+        # dim * eps * ||rho||; the levels below that (and the negative ones
+        # the PSD slack allows) are noise with arbitrary eigenvectors, and a
+        # clock penalty of L**12 would amplify them, so they are dropped and
+        # the rest keep rho's trace, as the factor's own trace check asks
+        keep = evals > evals[-1] * dim * np.finfo(float).eps
+        levels = evals[keep] * (tr.real / evals[keep].sum())
+        self.__dict__["factor"] = _as_complex(evecs[:, keep] * np.sqrt(levels))
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
         f = self.factor
         return _as_complex(f @ f.conj().T)
-
-    @functools.cached_property
-    def factor(self) -> np.ndarray:
-        # a backward-stable eigensolver resolves eigenvalues only to about
-        # dim * eps * ||rho||; the levels below that (and the negative ones
-        # the PSD slack allows) are noise with arbitrary eigenvectors, and a
-        # clock penalty of L**12 would amplify them, so they are dropped
-        evals, evecs = _eigh(self.entries)
-        keep = evals > evals[-1] * len(evals) * np.finfo(float).eps
-        return _as_complex(evecs[:, keep] * np.sqrt(evals[keep]))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"DensityMatrix is immutable; cannot set {name!r}")
@@ -228,8 +227,9 @@ class RegisterLayout:
 def tensor_product(a, b):
     """Kronecker product of two states or of two density matrices.
 
-    Operands must be the same type. Operators are plain arrays, so their
-    product is np.kron.
+    Operands must be the same type. Two density matrices give the state
+    whose factor is the Kronecker product of theirs, so no eigensolver
+    runs. Operators are plain arrays, so their product is np.kron.
     """
     if isinstance(a, PureState) and isinstance(b, PureState):
         n = a.num_qubits + b.num_qubits
@@ -238,7 +238,7 @@ def tensor_product(a, b):
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
         n = a.num_qubits + b.num_qubits
         _check_qubit_count(n, DENSE_QUBIT_CAP, "tensor_product")
-        return DensityMatrix(n, np.kron(a.entries, b.entries))
+        return DensityMatrix(n, factor=np.kron(a.factor, b.factor))
     raise ValidationError(
         f"tensor_product: mismatched operand types "
         f"{type(a).__name__}/{type(b).__name__}"
@@ -246,17 +246,15 @@ def tensor_product(a, b):
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every qubit not listed in keep; kept qubits stay in order."""
+    """Trace out every qubit not listed in keep; kept qubits stay in order.
+    The result's factor is rho's with the kept qubit axes moved to the
+    front and reshaped to 2^len(keep) rows, so no eigensolver runs."""
     keep = sorted(set(int(q) for q in keep))
     n = rho.num_qubits
     if keep and (keep[0] < 0 or keep[-1] >= n):
         raise ValidationError(f"partial_trace: keep indices {keep} outside 0..{n - 1}")
-    drop = [q for q in range(n) if q not in keep]
-    t = rho.entries.reshape((2,) * (2 * n))
-    for q in reversed(drop):
-        t = np.trace(t, axis1=q, axis2=q + t.ndim // 2)
-    dim = 2 ** len(keep)
-    return DensityMatrix(len(keep), t.reshape(dim, dim))
+    f = np.moveaxis(rho.factor.reshape((2,) * n + (-1,)), keep, range(len(keep)))
+    return DensityMatrix(len(keep), factor=f.reshape(2 ** len(keep), -1))
 
 
 def expectation(rho: DensityMatrix, a: np.ndarray) -> float:

@@ -20,10 +20,11 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse.linalg
 
-from .errors import ConvergenceError, ResourceLimitError, ValidationError
+from .errors import ConvergenceError, ValidationError
 from .qcore import (
     _RESIDUAL_TARGET, DENSE_QUBIT_CAP, QUBIT_CAP, PureState, _check_hermitian,
-    _eigh, _scatter_entries, apply_local, fmt_float, named_stream,
+    _check_qubit_count, _eigh, _scatter_entries, apply_local, fmt_float,
+    named_stream,
 )
 from .clockham import LocalHamiltonian
 
@@ -61,10 +62,7 @@ class SpectralReport(NamedTuple):
 def assemble(h: LocalHamiltonian) -> np.ndarray:
     """Dense Hermitian matrix of the weighted term sum, as a read-only array."""
     n = h.num_qubits
-    if n > DENSE_QUBIT_CAP:
-        raise ResourceLimitError(
-            f"dense assembly of {n} qubits exceeds the cap of {DENSE_QUBIT_CAP}"
-        )
+    _check_qubit_count(n, DENSE_QUBIT_CAP, "dense assembly")
     total = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for term in h.terms:
         # one term's (row, col) pairs never repeat, so fancy-index += is
@@ -107,8 +105,8 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
         method = "dense" if n <= DENSE_QUBIT_CAP else "iterative"
     elif method not in ("dense", "iterative"):
         raise ValidationError(f"unknown method {method!r}")
-    if method == "iterative" and n > QUBIT_CAP:
-        raise ResourceLimitError(f"{n} qubits exceeds the sparse cap of {QUBIT_CAP}")
+    if method == "iterative":
+        _check_qubit_count(n, QUBIT_CAP, "iterative min_eigenvalue")
     if k > dim - 2 or dim < 8:
         # ARPACK needs k < dim-1 and room for the Krylov basis
         method = "dense"

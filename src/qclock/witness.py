@@ -30,8 +30,8 @@ from .circuit import (
     EXPLICIT_LABELS, Circuit, Gate, _accept_on, _optimal_on, acceptance_operator,
 )
 from .clockham import (
-    LocalHamiltonian, _projection_leak, compile_circuit, history_pull_back,
-    legal_hamiltonian, term_expectation,
+    LocalHamiltonian, _legal_dimension, _projection_leak, compile_circuit,
+    history_pull_back, legal_hamiltonian, term_expectation,
 )
 from .spectral import matvec
 from .thermal import _decision_energy
@@ -213,12 +213,14 @@ def prepare_witness(c: Circuit, params: WitnessParams, source: LowEnergySource,
     the circuit has no witness (max acceptance <= epsilon) the result is
     flagged and the energy target is not enforced.
     """
+    # the cap comes before the k L replicated gates are built
+    _legal_dimension(params.k * (c.n_input + c.n_ancilla), params.k * c.length)
     meta, accepts = replicate_circuit(c, params.k)
     target = (_decision_energy(meta.length)
               if target_energy is None else float(target_energy))
     if not math.isfinite(target):
         raise ValidationError(f"target energy {target} must be finite")
-    h = legal_hamiltonian(meta, accepts)    # checks the dense cap before M is built
+    h = legal_hamiltonian(meta, accepts)
     m = acceptance_operator(c)
     opt = _optimal_on(m)
     flags = []

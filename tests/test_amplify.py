@@ -53,14 +53,15 @@ def test_majority_threshold_invalid_regime():
 
 
 def test_exact_reject_matches_rational_oracle():
-    for k, eps in [(16, 0.25), (81, 0.25), (81, 1 / 3), (256, 0.05)]:
+    for k, eps in [(16, 0.25), (81, 0.25), (81, 1 / 3), (256, 0.05), (1024, 0.25),
+                   (2048, 0.1)]:
         p = q.AmplifyParams(k, eps)
         got = q.exact_reject_prob(p, 1 - eps)
         want = brute_reject(k, eps, 1 - eps)
         assert got == pytest.approx(want, rel=1e-11), (k, eps)
 
 
-def test_exact_reject_log_space_handles_tiny_tails():
+def test_exact_reject_handles_tiny_tails():
     p = q.AmplifyParams(625, 0.1)
     got = q.exact_reject_prob(p, 0.9)
     want = brute_reject(625, 0.1, 0.9)
@@ -152,7 +153,8 @@ def test_simulate_majority_vote_deterministic():
 
 
 def test_import_leaves_scipy_special_unloaded():
-    # only exact_reject_prob needs scipy.special, and it imports it itself
+    # only exact_reject_prob and kl_divergence need scipy.special, and each
+    # imports it itself
     code = ("import sys, qclock, qclock.cli; "
             "sys.exit('scipy.special' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

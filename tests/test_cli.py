@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -179,6 +180,24 @@ def test_witness_stdout_independent_of_blas_threads(name, tmp_path):
         assert acc <= 1e-12 and "no-witness-regime" in report["flags"]
 
 
+@pytest.mark.parametrize("text, k, dim", [
+    # 20000 copies of 1 input and L = 2
+    ("n_input 1\nn_ancilla 0\naccept 0\ngate H 0\ngate H 0\n", "20000",
+     "2**20000 * 40001"),
+    # one copy of 14300 qubits
+    ("n_input 1\nn_ancilla 14299\naccept 0\ngate H 0\n", "1", "2**14300 * 2"),
+], ids=["many-copies", "wide-register"])
+def test_witness_past_the_legal_cap_exits_3(text, k, dim, tmp_path, capsys):
+    # 2^(k w) (k L + 1) is refused before any copy is built, and without
+    # formatting an integer of thousands of digits
+    path = tmp_path / "wide.qc"
+    path.write_text(text)
+    assert main(["witness", str(path), "--k", k]) == 3
+    assert capsys.readouterr().err == (
+        f"resource limit: legal_hamiltonian of dimension {dim} exceeds the "
+        "dense cap of 2**12\n")
+
+
 def test_witness_bad_source(circuit_file, capsys):
     assert main(["witness", circuit_file, "--source", "what"]) == 2
     assert "unknown source" in capsys.readouterr().err
@@ -239,6 +258,15 @@ def test_amplify_mc_columns(capsys):
     assert main(["amplify", "--k", "16", "--eps", "0.25", "--mc", "-5"]) == 2
     cap = capsys.readouterr()
     assert "shots -5 must be >= 1" in cap.err and cap.out == ""
+
+
+def test_amplify_at_a_billion_copies(capsys):
+    # the closed-form tail costs the same at any k
+    start = time.perf_counter()
+    assert main(["amplify", "--k", "1000000000", "--eps", "0.25"]) == 0
+    assert time.perf_counter() - start < 0.5
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[:6] == ["1000000000", "0.25", "744376587", "0", "0", "0"]
 
 
 def test_amplify_sweep_grammar(capsys):

@@ -6,10 +6,12 @@ import pytest
 import scipy.linalg
 
 import qclock as q
+from qclock import qcore
 from qclock.qcore import _check_hermitian, _check_unitary, apply_local, fmt_float
 
 from conftest import (
-    partial_trace_oracle, random_density_matrix, random_pure_state, rng_for,
+    assemble_oracle, partial_trace_oracle, random_density_matrix,
+    random_povm_hamiltonian, random_pure_state, rng_for,
 )
 
 
@@ -83,6 +85,60 @@ def test_density_matrix_forms_agree():
                                np.outer(psi.amplitudes, psi.amplitudes.conj()), atol=1e-15)
     with pytest.raises(AttributeError):
         rho.num_qubits = 2
+
+
+def test_entries_built_state_is_factored_once(monkeypatch):
+    # construction runs the one eigendecomposition; energy, partial trace
+    # and tensor product read the factor it left behind
+    calls = []
+    eigh = qcore._eigh
+
+    def record(*args, **kwargs):
+        calls.append(kwargs.get("vectors", True))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(qcore, "_eigh", record)
+    rng = rng_for("factored-once")
+    rho = random_density_matrix(rng, 4)
+    assert calls == [True]
+    h = random_povm_hamiltonian(rng, 4, 5)
+    assert q.hamiltonian_energy(rho, h) == pytest.approx(
+        np.trace(rho.entries @ assemble_oracle(h)).real, abs=1e-12)
+    q.partial_trace(rho, [0, 2])
+    q.tensor_product(rho, rho)
+    assert calls == [True]
+
+
+def test_derived_states_run_no_eigensolver(monkeypatch):
+    rng = rng_for("derived-no-eigh")
+    from_entries = random_density_matrix(rng, 3, rank=2)
+    a = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    from_factor = q.DensityMatrix(2, factor=a / np.linalg.norm(a))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver ran on a derived state")
+
+    for owner, name in ((qcore, "_eigh"), (scipy.linalg, "eigh"),
+                        (scipy.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                        (np.linalg, "eigvalsh")):
+        monkeypatch.setattr(owner, name, refuse)
+    for rho in (from_entries, from_factor):
+        n = rho.num_qubits
+        red = q.partial_trace(rho, [n - 1])
+        np.testing.assert_allclose(
+            red.entries, partial_trace_oracle(rho.entries, [n - 1], n), atol=1e-14)
+    joint = q.tensor_product(from_entries, from_factor)
+    np.testing.assert_allclose(
+        joint.entries, np.kron(from_entries.entries, from_factor.entries), atol=1e-14)
+
+
+def test_psd_slack_survives_partial_trace():
+    # a level of -5e-11 is within the PSD slack; the factor drops it but
+    # keeps rho's trace, so the reduced state passes the factor's trace check
+    rho = q.DensityMatrix(2, np.diag([0.5 + 5e-11, 0.5, -5e-11, 0.0]))
+    assert abs(np.vdot(rho.factor, rho.factor).real - 1.0) < 1e-15
+    red = q.partial_trace(rho, [0])
+    np.testing.assert_allclose(red.entries, np.diag([1.0, 0.0]), atol=1e-10)
 
 
 def test_qubit_caps_enforced():

@@ -251,8 +251,13 @@ def test_min_eigenvalue_respects_dense_cap():
         for i in range(13)
     )
     h = q.LocalHamiltonian(13, terms)
-    with pytest.raises(q.ResourceLimitError):
+    with pytest.raises(q.ResourceLimitError,
+                       match="dense assembly on 13 qubits exceeds the cap of 12"):
         q.min_eigenvalue(h, method="dense")
+    wide = q.LocalHamiltonian(17, terms)
+    with pytest.raises(q.ResourceLimitError,
+                       match="iterative min_eigenvalue on 17 qubits exceeds the cap of 16"):
+        q.min_eigenvalue(wide, method="iterative")
     # iterative path stays available
     rep = q.min_eigenvalue(h, k=1, method="iterative", seed=4)
     assert abs(rep.min_eigenvalue) < 1e-8
