@@ -23,7 +23,7 @@ from .spectral import min_eigenvalue, serialize_report
 from .witness import WitnessParams, prepare_witness
 from .amplify import AmplifyParams, simulate_majority_vote, tail_bounds
 from .thermal import (
-    Temperature, decision_temperature, gibbs_factor, gibbs_reports,
+    Temperature, _verdict, decision_temperature, gibbs_factor, gibbs_reports,
     ground_space_factor, mean_energy_bound,
 )
 
@@ -181,10 +181,15 @@ def cmd_gibbs(args, tol) -> str:
     h = parse_hamiltonian(_read(args.hamiltonian))
     decide = None
     if args.auto_qma is not None:
+        if args.temp is not None:
+            raise ValidationError("--temp and --auto-qma exclude each other")
         eps, length, n = args.auto_qma
-        dt = decision_temperature(_finite(eps, "--auto-qma EPS"),
-                                  _whole(length, "--auto-qma L"),
-                                  _whole(n, "--auto-qma N"))
+        eps, length, n = (_finite(eps, "--auto-qma EPS"), _whole(length, "--auto-qma L"),
+                          _whole(n, "--auto-qma N"))
+        dt = decision_temperature(eps, length, n)
+        if (length, n) != (h.layout.n_clock, h.num_qubits):
+            raise ValidationError(f"--auto-qma L={length} N={n} do not match the file's "
+                                  f"n_clock {h.layout.n_clock} and {h.num_qubits} qubits")
         temps = [dt.temperature]
         decide = dt.decision_energy
     elif args.temp is not None:
@@ -207,7 +212,7 @@ def cmd_gibbs(args, tol) -> str:
             rhs = mean_energy_bound(
                 report.e_min, decide, h.num_qubits, report.e_max, temp
             ).rhs if decide > report.e_min else float("nan")
-            verdict = "witness-exists" if report.mean_energy <= decide else "no-witness"
+            verdict = _verdict(report.mean_energy, decide)
         else:
             rhs, verdict = float("nan"), "-"
         rows.append(",".join([

@@ -41,13 +41,10 @@ class PromiseGap:
 
     a: float
     b: float
-    d: float | None = None  # optional decision energy between the two
 
     def __post_init__(self):
         if not self.a < self.b:
             raise ValidationError(f"promise needs a < b, got a={self.a}, b={self.b}")
-        if self.d is not None and not self.a < self.d < self.b:
-            raise ValidationError(f"decision energy d={self.d} outside ({self.a}, {self.b})")
 
 
 class SpectralReport(NamedTuple):

@@ -6,7 +6,7 @@ ground energy so nothing overflows. The mean-energy bound
     <E>_T <= a + (d-a)/2 + e^(n ln 2) e^(-(d-a)/(2T)) E_max
 
 holds whenever the ground energy is >= a (second term counts every state
-above the cutoff at its worst weight), and picking T small enough makes
+above a + (d-a)/2 at its worst weight), and picking T small enough makes
 the Gibbs mean land on the witness side of a promise.
 
 Each entry point assembles H once per call. gibbs_reports serves a whole
@@ -62,7 +62,6 @@ class ThermalReport(NamedTuple):
     populations: tuple    # ascending energy order
     e_min: float
     e_max: float
-    cutoff: float | None = None
 
 
 class EnergyBound(NamedTuple):
@@ -72,7 +71,6 @@ class EnergyBound(NamedTuple):
 
 class DecisionTemperature(NamedTuple):
     temperature: Temperature
-    cutoff: float
     decision_energy: float
 
 
@@ -82,7 +80,8 @@ def _as_temperature(t) -> Temperature:
 
 def _thermal_report(evals: np.ndarray, temp: Temperature) -> ThermalReport:
     e_min = float(evals[0])
-    shifted = np.exp(-(evals - e_min) / temp.value)
+    with np.errstate(over="ignore"):    # a gap over a tiny T is inf, exp(-inf) = 0
+        shifted = np.exp(-(evals - e_min) / temp.value)
     z_shifted = shifted.sum()
     pops = shifted / z_shifted
     # Z in absolute units; may overflow to inf for strongly negative spectra
@@ -186,32 +185,33 @@ def _decision_energy(length: int) -> float:
 
 
 def decision_temperature(epsilon: float, length: int, n: int) -> DecisionTemperature:
-    """Temperature, cutoff and decision energy for promise classification.
+    """Temperature and decision energy for promise classification.
 
-    T = (1-2 eps) / (4 ln2 (L+1) n), cutoff (1+2 eps)/(4(L+1)),
-    decision energy d = 1/(2(L+1)). n is the total qubit count of the
-    compiled instance including the clock and the meta accept qubit.
+    T = (1-2 eps) / (4 ln2 (L+1) n), decision energy d = 1/(2(L+1)); n
+    counts the compiled instance's input, ancilla and clock qubits.
     """
     if not 0.0 < epsilon < 0.5:
         raise ValidationError(f"epsilon {epsilon} outside (0, 1/2)")
     if length < 1 or n < 1:
         raise ValidationError("length and n must be >= 1")
     t = (1.0 - 2.0 * epsilon) / (4.0 * _LN2 * (length + 1) * n)
-    cutoff = (1.0 + 2.0 * epsilon) / (4.0 * (length + 1))
-    return DecisionTemperature(Temperature(t), cutoff, _decision_energy(length))
+    return DecisionTemperature(Temperature(t), _decision_energy(length))
 
 
 def ising_decision_temperature(delta_e: float, n: int,
                                ground_energy: float = 0.0) -> DecisionTemperature:
-    """Classical spin-glass variant: T = 1/(ln2 dE n), cutoff a + dE/4,
-    decision at a + dE/2."""
+    """Classical spin-glass variant: T = 1/(ln2 dE n), decision at a + dE/2."""
     if not delta_e > 0:
         raise ValidationError(f"energy quantum {delta_e} must be > 0")
     if n < 1:
         raise ValidationError(f"spin count n={n} must be >= 1")
     t = 1.0 / (_LN2 * delta_e * n)
-    return DecisionTemperature(Temperature(t), ground_energy + delta_e / 4.0,
-                               ground_energy + delta_e / 2.0)
+    return DecisionTemperature(Temperature(t), ground_energy + delta_e / 2.0)
+
+
+def _verdict(mean_energy: float, decision_energy: float) -> str:
+    """The thermal decision: witness-exists when mean <= d, else no-witness."""
+    return "witness-exists" if mean_energy <= decision_energy else "no-witness"
 
 
 def gibbs_decide(h: LocalHamiltonian, t, decision_energy: float | None = None):
@@ -219,17 +219,13 @@ def gibbs_decide(h: LocalHamiltonian, t, decision_energy: float | None = None):
 
     witness-exists when mean <= decision_energy, no-witness otherwise.
     Passing a DecisionTemperature uses its temperature and, unless
-    overridden, its cutoff as the decision energy.
+    overridden, its decision energy d.
     """
     if isinstance(t, DecisionTemperature):
         if decision_energy is None:
-            decision_energy = t.cutoff
+            decision_energy = t.decision_energy
         t = t.temperature
-    if decision_energy is None:
-        raise ValidationError("gibbs_decide needs a decision energy")
-    if not math.isfinite(decision_energy):
-        raise ValidationError(f"decision energy {decision_energy} must be finite")
+    if decision_energy is None or not math.isfinite(decision_energy):
+        raise ValidationError(f"decision energy must be finite, got {decision_energy}")
     report = gibbs_reports(h, [t])[0]
-    verdict = "witness-exists" if report.mean_energy <= decision_energy else "no-witness"
-    report = report._replace(cutoff=float(decision_energy))
-    return verdict, report
+    return _verdict(report.mean_energy, decision_energy), report

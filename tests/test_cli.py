@@ -297,6 +297,40 @@ def test_gibbs_auto_qma_decides(ham_file, capsys):
     assert rows[1].endswith("witness-exists")
 
 
+FLAT_HAM = "qubits 2\nlayout 1 0 1\nterm in 0.2 1 0\n1 0\n0 0\n0 0\n1 0\n"
+
+
+def test_gibbs_cli_and_gibbs_decide_agree(tmp_path, capsys):
+    # 0.2 * I: the mean 0.2 lies between the bound's cutoff 0.1875 and the
+    # decision energy d = 0.25; both routes decide at d
+    ham = tmp_path / "flat.ham"
+    ham.write_text(FLAT_HAM)
+    h = q.parse_hamiltonian(FLAT_HAM)
+    verdict, _ = q.gibbs_decide(h, q.decision_temperature(0.25, 1, 2))
+    assert main(["gibbs", str(ham), "--auto-qma", "0.25", "1", "2", "--decide"]) == 0
+    row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+    assert row[1] == "0.20000000000000001"
+    assert row[-1] == verdict == "witness-exists"
+
+
+def test_gibbs_auto_qma_must_match_the_file(ham_file, capsys, monkeypatch):
+    factored = []
+    monkeypatch.setattr("qclock.cli.gibbs_reports", lambda *a: factored.append(a) or ())
+    for length, n in (("99", "9"), ("1", "3"), ("2", "2")):
+        assert main(["gibbs", ham_file, "--auto-qma", "0.25", length, n, "--decide"]) == 2
+        cap = capsys.readouterr()
+        assert f"--auto-qma L={length} N={n} do not match" in cap.err
+        assert "n_clock 1 and 2 qubits" in cap.err and cap.out == ""
+    assert factored == []    # refused before H is factored
+
+
+def test_gibbs_temp_and_auto_qma_exclude_each_other(ham_file, capsys):
+    argv = ["gibbs", ham_file, "--auto-qma", "0.25", "1", "2", "--temp", "5,6"]
+    assert main(argv) == 2
+    cap = capsys.readouterr()
+    assert "--temp and --auto-qma exclude each other" in cap.err and cap.out == ""
+
+
 def test_gibbs_rejects_zero_temperature(ham_file, capsys):
     for temps in ("0", "0.1,-1"):
         assert main(["gibbs", ham_file, "--temp", temps]) == 2

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,7 @@ def test_promise_gap_validation():
         q.PromiseGap(a=0.5, b=0.1)  # needs a < b
     g = q.PromiseGap(a=0.1, b=0.5)
     assert g.a == 0.1 and g.b == 0.5
+    assert [f.name for f in dataclasses.fields(g)] == ["a", "b"]
 
 
 def test_serialize_report_round_trip_text():

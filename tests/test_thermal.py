@@ -196,8 +196,11 @@ def test_cooling_temperature_frozen():
 def test_decision_temperature_frozen():
     dt = q.decision_temperature(0.25, 3, 10)
     assert dt.temperature.value == pytest.approx(0.00450842200277801, rel=1e-14)
-    assert dt.cutoff == pytest.approx(0.09375, rel=1e-14)
     assert dt.decision_energy == pytest.approx(0.125, rel=1e-14)
+    # the bound's cutoff a + (d-a)/2 at a = eps/(L+1) is the old frozen value
+    bound = q.mean_energy_bound(0.25 / 4, dt.decision_energy, 10, 1.0, dt.temperature)
+    assert bound.cutoff == pytest.approx(0.09375, rel=1e-14)
+    assert q.DecisionTemperature._fields == ("temperature", "decision_energy")
     with pytest.raises(q.ValidationError):
         q.decision_temperature(0.5, 3, 10)
     with pytest.raises(q.ValidationError):
@@ -207,10 +210,13 @@ def test_decision_temperature_frozen():
 def test_ising_decision_temperature_frozen():
     ib = q.ising_decision_temperature(0.5, 8)
     assert ib.temperature.value == pytest.approx(0.36067376022224085, rel=1e-14)
-    assert ib.cutoff == pytest.approx(0.125, rel=1e-14)
     assert ib.decision_energy == pytest.approx(0.25, rel=1e-14)
+    bound = q.mean_energy_bound(0.0, ib.decision_energy, 8, 5.0, ib.temperature)
+    assert bound.cutoff == pytest.approx(0.125, rel=1e-14)
     shifted = q.ising_decision_temperature(0.5, 8, ground_energy=1.0)
-    assert shifted.cutoff == pytest.approx(1.125, rel=1e-14)
+    bound = q.mean_energy_bound(1.0, shifted.decision_energy, 8, 5.0,
+                                shifted.temperature)
+    assert bound.cutoff == pytest.approx(1.125, rel=1e-14)
 
 
 def test_gibbs_decide_both_verdicts():
@@ -220,14 +226,46 @@ def test_gibbs_decide_both_verdicts():
     dt = q.decision_temperature(0.25, c_yes.length, h_yes.num_qubits)
     verdict, report = q.gibbs_decide(h_yes, dt)
     assert verdict == "witness-exists"
-    assert report.cutoff == dt.cutoff
+    assert report.mean_energy <= dt.decision_energy
 
     c_no = all_reject_circuit(rng, 2, 1)
     h_no = q.compile_circuit(c_no)
     dt_no = q.decision_temperature(0.25, c_no.length, h_no.num_qubits)
     verdict_no, report_no = q.gibbs_decide(h_no, dt_no)
     assert verdict_no == "no-witness"
-    assert report_no.mean_energy > dt_no.cutoff
+    assert report_no.mean_energy > dt_no.decision_energy
+
+
+def test_gibbs_decide_at_the_decision_energy():
+    # 0.2 * I on layout 1 0 1: the mean 0.2 lies between the bound's cutoff
+    # 0.1875 and d = 0.25, and the verdict is taken at d, as
+    # `qclock gibbs --auto-qma ... --decide` takes it
+    term = q.LocalTerm("in", 0.2, (0,), np.eye(2))
+    h = q.LocalHamiltonian(q.RegisterLayout(1, 0, 1), (term,))
+    dt = q.decision_temperature(0.25, 1, 2)
+    assert dt.decision_energy == 0.25
+    a = 0.25 / 2
+    assert q.mean_energy_bound(a, dt.decision_energy, 2, 0.2, dt.temperature).cutoff == 0.1875
+    verdict, report = q.gibbs_decide(h, dt)
+    assert report.mean_energy == pytest.approx(0.2, rel=1e-15)
+    assert verdict == "witness-exists"
+    assert "cutoff" not in q.ThermalReport._fields
+    # an explicit energy still overrides the one dt carries
+    assert q.gibbs_decide(h, dt, decision_energy=0.15)[0] == "no-witness"
+
+
+def test_gibbs_reports_at_a_vanishing_temperature():
+    # a gap over T = 1e-320 is inf; its level weighs exp(-inf) = 0, with no
+    # overflow warning (the suite turns warnings into errors)
+    term = q.LocalTerm("in", 0.5, (0,), np.diag([1.0, 0.0]))
+    h = q.LocalHamiltonian(q.RegisterLayout(1, 0, 0), (term,))
+    (report,) = q.gibbs_reports(h, [1e-320])
+    assert report.populations == (1.0, 0.0)
+    assert report.partition_function == 1.0 and report.mean_energy == 0.0
+    clock = q.compile_circuit(random_circuit(rng_for("tiny-T"), n_input=1,
+                                             n_ancilla=1, length=2))
+    (report,) = q.gibbs_reports(clock, [1e-300])
+    assert report.populations[0] > 0 and report.populations[-1] == 0.0
 
 
 def test_gibbs_decide_explicit_energy_override():
