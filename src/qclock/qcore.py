@@ -32,6 +32,7 @@ DENSE_QUBIT_CAP = 12    # dense matrices
 
 ATOL = 1e-12
 _HERMITIAN_BLOCK = 256   # rows per block of the Hermitian check
+_COMPONENT_CHUNK = 64    # frontier rows read per step of the component search
 _DEGENERACY_TOL = 1e-10  # default width of a degenerate extreme eigenspace
 _RESIDUAL_TARGET = 1e-8  # default ground-pair residual, relative to max(1, ||H||)
 
@@ -276,6 +277,62 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def _components(mat: np.ndarray) -> list:
+    """Connected components of mat's nonzero pattern, with an edge i-j
+    wherever mat[i, j] or mat[j, i] is nonzero, as ascending index arrays in
+    the order of their smallest index.
+
+    A breadth-first search from each unlabelled index reads only rows, up
+    to _COMPONENT_CHUNK of them at a time, and never copies the whole
+    matrix. A row that reaches an earlier component (an edge stored on one
+    side only) merges it into the current one, so each row is read once
+    and every edge is seen from one of its ends. The search stops as soon
+    as every index is labelled and one component is left: a matrix with a
+    dense first row costs one row.
+    """
+    n = len(mat)
+    label = np.full(n, -1)
+    seen = live = 0
+    while seen < n:
+        # a component is labelled by its smallest index, its first start
+        c = start = int(np.argmax(label < 0))
+        label[start] = c
+        seen, live = seen + 1, live + 1
+        frontier = np.array([start])
+        while frontier.size and (seen < n or live > 1):
+            found = []
+            for i in range(0, frontier.size, _COMPONENT_CHUNK):
+                hit = mat[frontier[i:i + _COMPONENT_CHUNK]].any(axis=0)
+                reached = label[hit]
+                earlier = np.unique(reached[(reached >= 0) & (reached != c)])
+                if earlier.size:
+                    merged = np.append(earlier, c)
+                    c = merged.min()
+                    label[np.isin(label, merged)] = c
+                    live -= earlier.size
+                new = np.flatnonzero(hit & (label < 0))
+                label[new] = c
+                seen += new.size
+                found.append(new)
+            frontier = np.concatenate(found)
+    label = np.unique(label, return_inverse=True)[1]
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(label))[:-1])
+
+
+def _eigh_block(mat: np.ndarray, k, vectors: bool, upper, overwrite: bool = False):
+    """One zheevr call, as _eigh describes it, on one connected block;
+    overwrite lets LAPACK factor a Fortran-ordered mat in place."""
+    subset = None if k is None else (0, min(k, mat.shape[0]) - 1)
+    below = None if upper is None else (-np.inf, upper)
+    try:
+        return scipy.linalg.eigh(mat, driver="evr", subset_by_index=subset,
+                                 subset_by_value=below, eigvals_only=not vectors,
+                                 overwrite_a=overwrite)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dense eigensolver failed: {exc}") from None
+
+
 def _eigh(mat: np.ndarray, k: int | None = None, vectors: bool = True, *,
           upper: float | None = None):
     """Ascending eigenpairs of a dense Hermitian matrix: all, the lowest k,
@@ -285,14 +342,41 @@ def _eigh(mat: np.ndarray, k: int | None = None, vectors: bool = True, *,
     divide-and-conquer driver (zheevd) behind np.linalg.eigh, which fails
     to converge on some clock Hamiltonians at one BLAS thread. A LAPACK
     failure is a ConvergenceError.
+
+    The matrix is split into the connected components of its nonzero
+    pattern (_components). A single component goes to LAPACK as it is,
+    uncopied. Otherwise each principal block is solved on its own (the
+    lowest min(k, size) of each, or each one's levels at or below upper),
+    and the results are merged: sorted stably by value, ties in block
+    order, and cut to the lowest k. Eigenvectors are scattered into
+    zero-padded columns. The split is exact, as the entries between blocks
+    are exact zeros, but the per-block solves round differently from one
+    solve of the whole matrix. Clock Hamiltonians split wherever a register
+    qubit is only acted on diagonally (an all-reject circuit's accept
+    ancilla) and wherever the gates permute basis states.
     """
-    subset = None if k is None else (0, min(k, mat.shape[0]) - 1)
-    below = None if upper is None else (-np.inf, upper)
-    try:
-        return scipy.linalg.eigh(mat, driver="evr", subset_by_index=subset,
-                                 subset_by_value=below, eigvals_only=not vectors)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"dense eigensolver failed: {exc}") from None
+    blocks = _components(mat)
+    if len(blocks) == 1:
+        return _eigh_block(mat, k, vectors, upper)
+    # each block is gathered through mat.T, so it comes out Fortran-ordered
+    # and LAPACK factors that one copy in place instead of copying it again
+    parts = [_eigh_block(mat.T[np.ix_(idx, idx)].T, k, vectors, upper, overwrite=True)
+             for idx in blocks]
+    evals = np.concatenate([p[0] if vectors else p for p in parts])
+    order = np.argsort(evals, kind="stable")[:k]
+    if not vectors:
+        return evals[order]
+    # column of each block level in the merged result, -1 past the lowest k
+    column = np.full(evals.size, -1)
+    column[order] = np.arange(order.size)
+    evecs = np.zeros((len(mat), order.size), dtype=complex)
+    start = 0
+    for idx, (_, vecs) in zip(blocks, parts):
+        cols = column[start:start + vecs.shape[1]]
+        start += vecs.shape[1]
+        keep = cols >= 0
+        evecs[np.ix_(idx, cols[keep])] = vecs[:, keep]
+    return evals[order], evecs
 
 
 def _qubit_bits(n: int, q: int) -> np.ndarray:

@@ -9,7 +9,11 @@ the weighted sum of several terms on the union of their supports) through
 qcore.apply_local, so each product passes over the state once per group,
 not once per term. Its sums are ordered by group, so its results can
 differ from the assembled matrix's at rounding level. Dense handles up to
-12 qubits, matrix-free up to 16.
+12 qubits, matrix-free up to 16. The dense route factors the assembled
+matrix with qcore._eigh, which solves each connected block of its nonzero
+pattern on its own: a clock Hamiltonian splits wherever a register qubit
+is only acted on diagonally (an all-reject circuit's accept ancilla) or
+the gates only permute basis states.
 """
 
 from __future__ import annotations

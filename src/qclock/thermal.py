@@ -16,7 +16,10 @@ uses it too. The two states come back as square-root factors, never as
 ground_projector_state as V / sqrt(r) over the r ground vectors, found by
 at most two subset solves, the second bounded by value. Those factors
 come from two matrix-level helpers, gibbs_factor and ground_space_factor,
-which also serve the legal-clock matrices of the witness pipeline.
+which also serve the legal-clock matrices of the witness pipeline. Every
+solve is qcore._eigh's, which factors each connected block of the
+matrix's nonzero pattern on its own and merges the levels, so a ground
+space or the occupied levels may span several blocks.
 """
 
 from __future__ import annotations

@@ -208,6 +208,15 @@ def accept_oracle(c: Circuit, rho_input: np.ndarray) -> float:
                      if (i >> shift) & 1))
 
 
+def ground_projector_oracle(mat: np.ndarray, tol: float) -> np.ndarray:
+    """Projector onto the eigenvectors of a Hermitian matrix within tol of
+    its lowest eigenvalue, from one np.linalg.eigh (LAPACK zheevd) of the
+    whole matrix."""
+    evals, evecs = np.linalg.eigh(mat)
+    v = evecs[:, evals - evals[0] <= tol]
+    return v @ v.conj().T
+
+
 def checkout_env(**overrides) -> dict:
     """Environment for a `python -m qclock.cli` child process.
 

@@ -10,8 +10,9 @@ from qclock import qcore
 from qclock.qcore import _check_hermitian, _check_unitary, apply_local, fmt_float
 
 from conftest import (
-    assemble_oracle, partial_trace_oracle, random_density_matrix,
-    random_povm_hamiltonian, random_pure_state, rng_for,
+    all_reject_circuit, assemble_oracle, ground_projector_oracle,
+    partial_trace_oracle, random_density_matrix, random_povm_hamiltonian,
+    random_pure_state, rng_for,
 )
 
 
@@ -253,6 +254,123 @@ def test_embed_matrix_permutation():
 def test_operator_norm():
     h = np.array([[0.0, 2.0], [2.0, 0.0]])
     assert abs(q.operator_norm(h.astype(complex)) - 2.0) < 1e-12
+
+
+def _hidden_blocks(rng, levels) -> np.ndarray:
+    """Hermitian matrix with one block per entry of `levels` (its
+    eigenvalues), each block a random unitary conjugate of its diagonal, so
+    dense; the block structure is hidden by a seeded basis permutation."""
+    n = sum(len(lev) for lev in levels)
+    mat = np.zeros((n, n), dtype=complex)
+    start = 0
+    for lev in levels:
+        k = len(lev)
+        u = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))[0]
+        mat[start:start + k, start:start + k] = (u * lev) @ u.conj().T
+        start += k
+    perm = rng.permutation(n)
+    mat = mat[np.ix_(perm, perm)]
+    return (mat + mat.conj().T) / 2
+
+
+# blocks of 1, 3, 8 and 20 levels; the ground level -1 is shared by two
+BLOCK_LEVELS = ([3.0], [-1.0, 0.5, 2.0], [-1.0, *np.linspace(0.75, 2.5, 7)],
+                np.linspace(1.0, 4.0, 20))
+
+
+def test_components_match_a_graph_oracle(monkeypatch):
+    # seeded sparse patterns, some with edges stored on one side only,
+    # against scipy's weakly connected components; chunks of one row
+    # make a row reach an earlier component and merge it
+    from scipy.sparse.csgraph import connected_components
+    rng = rng_for("components")
+    for chunk in (1, 64):
+        monkeypatch.setattr(qcore, "_COMPONENT_CHUNK", chunk)
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            mat = (rng.random((n, n)) < rng.choice([0.02, 0.05, 0.2])) * (1.0 - 2.0j)
+            if rng.random() < 0.5:
+                mat = mat + mat.T
+            comps = qcore._components(mat)
+            count, label = connected_components(mat != 0, connection="weak")
+            assert len(comps) == count
+            assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+            np.testing.assert_array_equal(np.sort(np.concatenate(comps)), np.arange(n))
+            for c in comps:
+                assert np.all(np.diff(c) > 0) and np.unique(label[c]).size == 1
+
+
+def test_eigh_by_blocks_matches_the_whole_matrix():
+    rng = rng_for("eigh-blocks")
+    h = _hidden_blocks(rng, BLOCK_LEVELS)
+    blocks = qcore._components(h)
+    assert sorted(len(c) for c in blocks) == [1, 3, 8, 20]
+    full = np.linalg.eigvalsh(h)
+    tol = 1e-12 * np.abs(full).max()
+    # all levels; the lowest 2 (the level two blocks share); a k larger
+    # than every block; and an upper bound that leaves two blocks empty
+    for kwargs, want in (({}, full), ({"k": 2}, full[:2]), ({"k": 25}, full[:25]),
+                         ({"upper": 0.6}, full[full <= 0.6])):
+        vals, vecs = qcore._eigh(h, **kwargs)
+        np.testing.assert_allclose(vals, want, rtol=0, atol=tol)
+        np.testing.assert_allclose(qcore._eigh(h, vectors=False, **kwargs), want,
+                                   rtol=0, atol=tol)
+        assert vecs.shape == (len(h), len(want))
+        np.testing.assert_allclose(h @ vecs, vecs * vals, rtol=0, atol=tol)
+        np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(len(want)),
+                                   rtol=0, atol=1e-12)
+        # each eigenvector lives on one block, zero elsewhere
+        for col in vecs.T:
+            assert sum(np.any(col[c] != 0) for c in blocks) == 1
+    assert len(qcore._eigh(h, upper=-2.0)[0]) == 0
+
+
+def test_ground_space_spanning_two_blocks():
+    h = _hidden_blocks(rng_for("ground-two-blocks"), BLOCK_LEVELS)
+    f = q.ground_space_factor(h)
+    assert f.shape == (len(h), 2)
+    np.testing.assert_allclose(2 * f @ f.conj().T, ground_projector_oracle(h, 1e-10),
+                               rtol=0, atol=1e-12)
+
+
+def _lapack_inputs(monkeypatch) -> list:
+    """Every matrix that scipy.linalg.eigh receives from now on."""
+    seen = []
+    eigh = scipy.linalg.eigh
+
+    def record(a, *args, **kwargs):
+        seen.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", record)
+    return seen
+
+
+def test_one_component_reaches_lapack_uncopied(monkeypatch):
+    seen = _lapack_inputs(monkeypatch)
+    rng = rng_for("one-component")
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    chain = np.diag(np.arange(32.0)) + np.diag(np.ones(31), 1) + np.diag(np.ones(31), -1)
+    for h in (a + a.conj().T, chain):
+        seen.clear()
+        qcore._eigh(h, 3)
+        assert len(seen) == 1 and seen[0] is h
+
+
+def test_all_reject_clock_hamiltonian_is_factored_by_blocks(monkeypatch):
+    # no gate touches the accept ancilla, so H is block diagonal in its bit
+    seen = _lapack_inputs(monkeypatch)
+    h = q.compile_circuit(all_reject_circuit(rng_for("all-reject-blocks"), 2, 3))
+    report = q.min_eigenvalue(h, k=4, method="dense")
+    dim = 2 ** h.num_qubits
+    shapes = [a.shape for a in seen]
+    assert len(shapes) >= 2
+    assert all(rows == cols for rows, cols in shapes)
+    assert all(a.flags.f_contiguous for a in seen)    # LAPACK's own layout: one copy
+    assert sum(rows for rows, _ in shapes) == dim
+    want = np.linalg.eigvalsh(assemble_oracle(h))[:4]
+    np.testing.assert_allclose(report.spectrum, want, rtol=0,
+                               atol=np.sqrt(dim) * np.finfo(float).eps * h.total_weight)
 
 
 def test_named_stream_determinism_and_separation():
