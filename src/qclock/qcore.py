@@ -54,10 +54,17 @@ def _check_qubit_count(num_qubits: int, cap: int, what: str):
         )
 
 
-def _check_hermitian(m: np.ndarray, what: str):
+def _check_hermitian(m: np.ndarray, what: str, at=None):
     """ValidationError unless max|m - m^dag| <= 1e-12. Each block of rows is
     compared with the matching block of columns, so no second n x n matrix
-    is formed."""
+    is formed. With at=(rows, cols), only those entries are compared with
+    their mirrors, which gives the same verdict when every other entry of m
+    is zero."""
+    if at is not None:
+        rows, cols = at
+        if rows.size and np.abs(m[rows, cols] - m[cols, rows].conj()).max() > ATOL:
+            raise ValidationError(f"{what} not Hermitian within 1e-12")
+        return
     for i in range(0, len(m), _HERMITIAN_BLOCK):
         rows = slice(i, i + _HERMITIAN_BLOCK)
         if np.abs(m[rows] - m[:, rows].conj().T).max() > ATOL:
@@ -333,6 +340,13 @@ def _eigh_block(mat: np.ndarray, k, vectors: bool, upper, overwrite: bool = Fals
         raise ConvergenceError(f"dense eigensolver failed: {exc}") from None
 
 
+def _eigh_singleton(value: float, vectors: bool, upper):
+    """A 1 x 1 block's eigenpair as zheevr returns it, without the call: its
+    real diagonal entry and a unit vector, or nothing past upper."""
+    values = np.array([value] if upper is None or value <= upper else [])
+    return (values, np.ones((1, values.size), dtype=complex)) if vectors else values
+
+
 def _eigh(mat: np.ndarray, k: int | None = None, vectors: bool = True, *,
           upper: float | None = None):
     """Ascending eigenpairs of a dense Hermitian matrix: all, the lowest k,
@@ -348,20 +362,29 @@ def _eigh(mat: np.ndarray, k: int | None = None, vectors: bool = True, *,
     uncopied. Otherwise each principal block is solved on its own (the
     lowest min(k, size) of each, or each one's levels at or below upper),
     and the results are merged: sorted stably by value, ties in block
-    order, and cut to the lowest k. Eigenvectors are scattered into
-    zero-padded columns. The split is exact, as the entries between blocks
-    are exact zeros, but the per-block solves round differently from one
-    solve of the whole matrix. Clock Hamiltonians split wherever a register
-    qubit is only acted on diagonally (an all-reject circuit's accept
-    ancilla) and wherever the gates permute basis states.
+    order, and cut to the lowest k. A finite 1 x 1 block skips LAPACK: its
+    eigenpair is its diagonal entry and a unit vector, exactly as zheevr
+    gives it. Eigenvectors are scattered into zero-padded columns. The
+    split is exact, as the entries between blocks are exact zeros, but the
+    per-block solves round differently from one solve of the whole matrix.
+    Clock Hamiltonians split wherever a register qubit is only acted on
+    diagonally (an all-reject circuit's accept ancilla) and wherever the
+    gates permute basis states.
     """
     blocks = _components(mat)
     if len(blocks) == 1:
         return _eigh_block(mat, k, vectors, upper)
-    # each block is gathered through mat.T, so it comes out Fortran-ordered
-    # and LAPACK factors that one copy in place instead of copying it again
-    parts = [_eigh_block(mat.T[np.ix_(idx, idx)].T, k, vectors, upper, overwrite=True)
-             for idx in blocks]
+    parts = []
+    for idx in blocks:
+        corner = mat[idx[0], idx[0]]
+        # a non-finite entry still goes to LAPACK, whose input check refuses it
+        if idx.size == 1 and np.isfinite(corner):
+            parts.append(_eigh_singleton(corner.real, vectors, upper))
+        else:
+            # each block is gathered through mat.T, so it comes out
+            # Fortran-ordered and LAPACK factors that one copy in place
+            parts.append(_eigh_block(mat.T[np.ix_(idx, idx)].T, k, vectors, upper,
+                                     overwrite=True))
     evals = np.concatenate([p[0] if vectors else p for p in parts])
     order = np.argsort(evals, kind="stable")[:k]
     if not vectors:

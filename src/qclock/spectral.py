@@ -32,6 +32,10 @@ from .qcore import (
 )
 from .clockham import LocalHamiltonian
 
+# matrix-free products allowed per Lanczos solve, about ten times what a
+# 14-qubit random 3-local Hamiltonian takes
+_LANCZOS_MATVECS = 2000
+
 __all__ = [
     "PromiseGap", "SpectralReport", "assemble", "matvec",
     "min_eigenvalue", "propagation_spectrum", "check_promise",
@@ -65,12 +69,17 @@ def assemble(h: LocalHamiltonian) -> np.ndarray:
     n = h.num_qubits
     _check_qubit_count(n, DENSE_QUBIT_CAP, "dense assembly")
     total = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    positions = []
     for term in h.terms:
         # one term's (row, col) pairs never repeat, so fancy-index += is
         # exact, and terms add in list order
         rows, cols, vals = _scatter_entries(term.matrix, term.support, n)
         total[rows, cols] += term.weight * vals
-    _check_hermitian(total, "assemble: weighted sum")
+        positions.append((rows, cols))
+    # every entry off the terms' positions is zero, so checking those
+    # positions against their mirrors is the whole Hermitian check, in O(nnz)
+    for at in positions:
+        _check_hermitian(total, "assemble: weighted sum", at=at)
     total.flags.writeable = False
     return total
 
@@ -93,10 +102,14 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
     """Lowest k eigenvalues and the ground eigenvector.
 
     method: dense (exact, <= 12 qubits), iterative (matrix-free Lanczos,
-    <= 16 qubits, deterministic seeded start vector), or auto. The returned
-    ground pair is residual-checked against `residual_target` relative to
-    the operator scale max(1, total_weight): backward error grows with
-    ||H||, and clock penalties push ||H|| to L^12.
+    <= 16 qubits, deterministic seeded start vector), or auto. Lanczos stops
+    once every Ritz pair's absolute residual is below about
+    2 * residual_target, and fails with ConvergenceError once it has spent
+    _LANCZOS_MATVECS products, or when a total weight past
+    residual_target / eps leaves a returned pair above that residual. The
+    returned ground pair is residual-checked against `residual_target`
+    relative to the operator scale max(1, total_weight): backward error
+    grows with ||H||, and clock penalties push ||H|| to L^12.
     """
     n = h.num_qubits
     dim = 2 ** n
@@ -125,21 +138,42 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
             dtype=complex,
         )
         v0 = named_stream(seed, "eigsh-start").standard_normal(dim)
+        # ARPACK stops once every Ritz pair has ||r|| <= tol * |theta|, and
+        # theta, an eigenvalue of sigma*I - H, is at most 2 sigma: so the
+        # absolute residual stays within about 2 * residual_target, and a
+        # Ritz value with residual r lies within r of an eigenvalue of H
+        ncv = min(max(2 * k + 1, 20), dim)
+        eps = np.finfo(float).eps
+        tol = max(residual_target / max(1.0, sigma), eps)
+        # ARPACK takes ncv + 1 products before its first restart and at most
+        # ncv - k at each one, so this restart cap keeps within the budget
+        # (a budget below one restart still allows one)
+        restarts = max(1, (_LANCZOS_MATVECS - ncv - 1) // (ncv - k))
         try:
             evals, evecs = scipy.sparse.linalg.eigsh(
-                op, k=k, which="LA", v0=v0,
-                maxiter=100 * dim, tol=0,
+                op, k=k, which="LA", v0=v0, ncv=ncv, maxiter=restarts, tol=tol,
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             best = None
             if len(exc.eigenvalues):
-                vec = exc.eigenvectors[:, 0]
-                lam = sigma - exc.eigenvalues[0]
-                best = float(np.linalg.norm(matvec(h, vec) - lam * vec))
-            raise ConvergenceError("Lanczos did not converge", best_residual=best)
+                resid = _pair_residuals(h, sigma - exc.eigenvalues.real, exc.eigenvectors)
+                best = float(resid.min())
+            raise ConvergenceError(
+                f"Lanczos did not converge within {_LANCZOS_MATVECS} matvecs",
+                best_residual=best) from None
         evals = sigma - evals
         order = np.argsort(evals)
         evals, evecs = evals[order], evecs[:, order]
+        if tol * max(1.0, sigma) > residual_target:
+            # tol sits at machine epsilon, where the stop certifies only
+            # about 2 eps sigma, so the pairs' own residuals must certify them
+            resid = _pair_residuals(h, evals, evecs)
+            if resid.max() > 2 * residual_target:
+                raise ConvergenceError(
+                    f"Lanczos pair residual {resid.max():.3e} above 2 * "
+                    f"{residual_target:.1e}; at a total weight of {sigma:.3e}, "
+                    f"float64 products resolve only about {eps * sigma:.1e}",
+                    best_residual=float(resid.min()))
 
     ground = np.asarray(evecs[:, 0], dtype=complex)
     ground = ground / np.linalg.norm(ground)
@@ -159,6 +193,11 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
         residual=residual,
         seed=int(seed),
     )
+
+
+def _pair_residuals(h: LocalHamiltonian, evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """||H v - lambda v|| of each eigenpair, from one block matvec."""
+    return np.linalg.norm(matvec(h, evecs) - evecs * evals, axis=0)
 
 
 def propagation_spectrum(length: int) -> np.ndarray:

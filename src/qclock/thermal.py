@@ -14,12 +14,12 @@ temperature list from one eigenvalues-only factorisation, and gibbs_decide
 uses it too. The two states come back as square-root factors, never as
 2^n x 2^n matrices: gibbs_state as V sqrt(p) over the occupied levels, and
 ground_projector_state as V / sqrt(r) over the r ground vectors, found by
-at most two subset solves, the second bounded by value. Those factors
-come from two matrix-level helpers, gibbs_factor and ground_space_factor,
-which also serve the legal-clock matrices of the witness pipeline. Every
-solve is qcore._eigh's, which factors each connected block of the
-matrix's nonzero pattern on its own and merges the levels, so a ground
-space or the occupied levels may span several blocks.
+at most two subset solves by index and one eigenvalues-only count between
+them. Those factors come from two matrix-level helpers, gibbs_factor and
+ground_space_factor, which also serve the legal-clock matrices of the
+witness pipeline. Every solve is qcore._eigh's, which factors each
+connected block of the matrix's nonzero pattern on its own and merges the
+levels, so a ground space or the occupied levels may span several blocks.
 """
 
 from __future__ import annotations
@@ -138,15 +138,18 @@ def ground_space_factor(mat: np.ndarray, degeneracy_tol: float = _DEGENERACY_TOL
 
     The ground space is every eigenvector within degeneracy_tol of the
     lowest eigenvalue. A subset solve asks for the lowest _GROUND_SUBSET
-    eigenpairs; if all are in it and more remain, one solve bounded by value
-    at lowest + degeneracy_tol returns it whole. V holds the r ground vectors.
+    eigenpairs; if all are in it and more remain, an eigenvalues-only solve
+    counts the levels at or below lowest + degeneracy_tol, and one more
+    subset solve asks for exactly that many. Vectors are only ever asked for
+    by index: a solve bounded by value makes scipy allocate an n x n block
+    for them. V holds the r ground vectors.
     """
     evals, evecs = _eigh(mat, _GROUND_SUBSET)
     if evals[-1] - evals[0] <= degeneracy_tol and len(evals) < len(mat):
-        # a tolerance below rounding (0, say) can find fewer; keep the first then
-        wider = _eigh(mat, upper=evals[0] + degeneracy_tol)
-        if len(wider[0]) >= len(evals):
-            evals, evecs = wider
+        # a tolerance below rounding (0, say) can count fewer; keep the first then
+        count = len(_eigh(mat, vectors=False, upper=evals[0] + degeneracy_tol))
+        if count > len(evals):
+            evals, evecs = _eigh(mat, count)
     vecs = evecs[:, evals - evals[0] <= degeneracy_tol]
     return vecs / np.sqrt(vecs.shape[1])
 

@@ -7,9 +7,10 @@ import pytest
 import scipy.linalg
 
 import qclock as q
+from qclock import spectral
 from qclock.cli import main
 
-from conftest import checkout_env, marginal_circuit
+from conftest import all_reject_circuit, checkout_env, marginal_circuit, rng_for
 
 
 CIRCUIT = """\
@@ -86,6 +87,20 @@ def test_spectrum_sparse_alias(ham_file, capsys):
                  for line in capsys.readouterr().out.strip().split("\n"))
     # 2-qubit instance: the iterative path falls back to dense honestly
     assert lines["method"] == "dense"
+
+
+def test_spectrum_iterative_exits_4_when_lanczos_spends_its_budget(tmp_path, monkeypatch,
+                                                                   capsys):
+    # an 11-qubit clock layout at the default L**12 penalty: no Ritz pair
+    # reaches the absolute residual target, so the budget runs out
+    monkeypatch.setattr(spectral, "_LANCZOS_MATVECS", 60)
+    ham = tmp_path / "c11.ham"
+    circuit = all_reject_circuit(rng_for("cli-lanczos-budget"), 2, 8)
+    ham.write_text(q.serialize_hamiltonian(q.compile_circuit(circuit)))
+    assert main(["spectrum", str(ham), "--method", "iterative"]) == 4
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert "convergence failure: Lanczos did not converge within 60 matvecs" in cap.err
 
 
 def test_witness_output_block(circuit_file, capsys):

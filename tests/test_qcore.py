@@ -39,13 +39,14 @@ def test_density_matrix_validation():
 
 def test_density_matrix_psd_check_failure_is_a_convergence_error(monkeypatch):
     # the entries' PSD check runs the one dense eigensolver, so a LAPACK
-    # failure there is typed (exit 4), not a bare LinAlgError
+    # failure there is typed (exit 4), not a bare LinAlgError; the state has
+    # an off-diagonal entry, as a diagonal one's 1 x 1 blocks skip LAPACK
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(scipy.linalg, "eigh", fail)
     with pytest.raises(q.ConvergenceError, match="dense eigensolver failed"):
-        q.DensityMatrix(1, np.eye(2) / 2)
+        q.DensityMatrix(1, np.array([[0.5, 0.25], [0.25, 0.5]]))
 
 
 def test_factor_built_density_matrix_validation():
@@ -355,6 +356,30 @@ def test_one_component_reaches_lapack_uncopied(monkeypatch):
         seen.clear()
         qcore._eigh(h, 3)
         assert len(seen) == 1 and seen[0] is h
+
+
+def test_singleton_blocks_skip_lapack(monkeypatch):
+    # a diagonal state is 256 blocks of 1 x 1, each read off as its entry
+    # and a unit vector: no LAPACK call, and bit for bit the factor that
+    # one zheevr call per block gave (frozen digest), ties kept in block order
+    seen = _lapack_inputs(monkeypatch)
+    rng = rng_for("singleton-blocks")
+    p = rng.integers(1, 5, size=256).astype(float)
+    rho = q.DensityMatrix(8, np.diag(p / p.sum()))
+    assert seen == []
+    assert q.state_digest(rho.factor) == "448f0f3dbe5667e1"
+    # beside larger blocks, the singleton level 3.0 merges into place, and
+    # drops out below `upper`
+    h = _hidden_blocks(rng_for("eigh-blocks"), BLOCK_LEVELS)
+    full = np.linalg.eigvalsh(h)
+    tol = 1e-12 * np.abs(full).max()
+    for kwargs, want in (({}, full), ({"k": 4}, full[:4]),
+                         ({"upper": 0.6}, full[full <= 0.6]),
+                         ({"upper": full[0] - 1.0}, full[:0])):
+        vals, vecs = qcore._eigh(h, **kwargs)
+        np.testing.assert_allclose(vals, want, rtol=0, atol=tol)
+        np.testing.assert_allclose(h @ vecs, vecs * vals, rtol=0, atol=tol)
+    assert len(seen) == 4 * 3        # the three larger blocks, once per call
 
 
 def test_all_reject_clock_hamiltonian_is_factored_by_blocks(monkeypatch):

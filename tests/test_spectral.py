@@ -5,7 +5,7 @@ import pytest
 
 import qclock as q
 
-from qclock import clockham
+from qclock import clockham, spectral
 
 from conftest import (
     all_reject_circuit, assemble_oracle, history_transform_oracle,
@@ -116,6 +116,73 @@ def test_min_eigenvalue_iterative_ten_qubits_matches_oracle():
     oracle = np.linalg.eigvalsh(assemble_oracle(h))[:6]
     np.testing.assert_allclose(rep.spectrum, oracle, rtol=0,
                                atol=1e-9 * max(1.0, h.total_weight))
+
+
+def _count_matvecs(monkeypatch) -> list:
+    """One entry per matrix-free product spectral makes from now on."""
+    calls = []
+    matvec = spectral.matvec
+    monkeypatch.setattr(spectral, "matvec", lambda h, v: calls.append(1) or matvec(h, v))
+    return calls
+
+
+@pytest.mark.parametrize("num_qubits", [10, 11])
+def test_iterative_levels_lie_within_twice_the_residual_target(num_qubits, monkeypatch):
+    # Lanczos stops once every Ritz pair's absolute residual is below about
+    # 2 * residual_target, and a Ritz value lies within its residual of an
+    # eigenvalue; a looser target stops sooner and still holds its levels
+    calls = _count_matvecs(monkeypatch)
+    h = random_povm_hamiltonian(rng_for(f"lanczos-stop-{num_qubits}"), num_qubits,
+                                2 * num_qubits)
+    oracle = np.linalg.eigvalsh(assemble_oracle(h))[:6]
+    used = []
+    for target in (1e-8, 1e-4):
+        calls.clear()
+        rep = q.min_eigenvalue(h, k=6, method="iterative", seed=num_qubits,
+                               residual_target=target)
+        assert rep.method == "iterative"
+        np.testing.assert_allclose(rep.spectrum, oracle, rtol=0, atol=2 * target)
+        assert len(calls) <= spectral._LANCZOS_MATVECS + 1    # + the residual check
+        used.append(len(calls))
+    assert used[1] < used[0]
+
+
+def test_clock_layout_at_the_default_penalty_stops_at_the_budget(monkeypatch):
+    # at the L**12 penalty no Ritz pair reaches an absolute residual of
+    # 1e-8, so Lanczos spends its budget and fails with a typed error; it
+    # never returns a level that only the relative post-check accepts
+    monkeypatch.setattr(spectral, "_LANCZOS_MATVECS", 60)
+    calls = _count_matvecs(monkeypatch)
+    h = q.compile_circuit(all_reject_circuit(rng_for("lanczos-budget"), 2, 8))
+    assert h.num_qubits == 11
+    with pytest.raises(q.ConvergenceError, match="did not converge within 60 matvecs"):
+        q.min_eigenvalue(h, k=6, method="iterative")
+    assert 0 < len(calls) <= 60 + 1      # + one block residual of any returned pairs
+
+
+@pytest.mark.parametrize("name, message", [
+    ("lanczos-uncertified", "did not converge within 2000 matvecs"),
+    ("lanczos-uncertified-b", "float64 products resolve only"),
+])
+def test_iterative_route_never_returns_uncertified_clock_levels(name, message):
+    # 10-qubit layouts at the L**12 penalty, where the tolerance sits at
+    # machine epsilon: a solve to machine precision returned levels 62/L^3
+    # and 0.10/L^3 off the legal ground energy, with residuals of 0.18 and
+    # 8.6e-4 that the relative post-check alone accepts; now the first
+    # spends its budget and the second's pair residuals refuse it
+    c = random_circuit(rng_for(name), n_input=2, n_ancilla=1, length=7)
+    with pytest.raises(q.ConvergenceError, match=message):
+        q.min_eigenvalue(q.compile_circuit(c), k=6, method="iterative")
+
+
+def test_budget_failure_reports_the_best_converged_residual(monkeypatch):
+    # 64 products converge some of the six Ritz pairs but not all: the
+    # error carries the smallest residual among the pairs ARPACK returns
+    monkeypatch.setattr(spectral, "_LANCZOS_MATVECS", 64)
+    h = random_povm_hamiltonian(rng_for("lanczos-stop-10"), 10, 20)
+    with pytest.raises(q.ConvergenceError, match="best residual") as exc:
+        q.min_eigenvalue(h, k=6, method="iterative", seed=10)
+    assert 0 < exc.value.best_residual <= 2e-8
 
 
 @pytest.mark.parametrize("method", ["dense", "iterative"])

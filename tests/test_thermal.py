@@ -8,7 +8,7 @@ import qclock as q
 from qclock import thermal
 
 from conftest import (
-    all_reject_circuit, assemble_oracle, random_circuit,
+    all_reject_circuit, assemble_oracle, ground_projector_oracle, random_circuit,
     random_povm_hamiltonian, random_unit_interval_hermitian, rng_for,
 )
 
@@ -70,13 +70,14 @@ def test_ground_projector_state_degenerate_space():
 
 def test_ground_projector_state_grows_its_subset(monkeypatch):
     # one |1><1| penalty on qubit 0 of 5 leaves a 16-dim ground space, more
-    # than the first subset solve returns, so one more solve, bounded by
-    # value, fetches the rest of it; a smaller ground space takes one solve
+    # than the first subset solve returns, so an eigenvalues-only solve,
+    # bounded by value, counts it and one more subset solve fetches it
+    # whole; a smaller ground space takes one solve
     calls = []
     eigh = thermal._eigh
 
     def record(mat, k=None, vectors=True, **bound):
-        calls.append((k, bound))
+        calls.append((k, bound) if vectors else (k, "values", bound))
         return eigh(mat, k, vectors, **bound)
 
     monkeypatch.setattr(thermal, "_eigh", record)
@@ -86,12 +87,12 @@ def test_ground_projector_state_grows_its_subset(monkeypatch):
     assert rho.factor.shape == (32, 16)
     np.testing.assert_allclose(rho.entries, np.diag([1 / 16] * 16 + [0] * 16),
                                atol=1e-12)
-    [(k1, first), (k2, second)] = calls
-    assert (k1, first, k2) == (8, {}, None)
+    [(k1, first), (k2, values, second), (k3, third)] = calls
+    assert (k1, first, k2, values, k3, third) == (8, {}, None, "values", 16, {})
     assert second["upper"] == pytest.approx(1e-10, abs=1e-15)  # lowest is 0
     # penalties on qubits 0 and 1 of 5 leave an 8-dim ground space: all 8
-    # levels of the first solve are in it, so the second solve runs and
-    # returns exactly those 8
+    # levels of the first solve are in it, so the count runs and finds
+    # exactly those 8
     calls.clear()
     h = q.LocalHamiltonian(5, tuple(q.LocalTerm("in", 1.0, (j,), p1) for j in (0, 1)))
     assert q.ground_projector_state(h).factor.shape == (32, 8)
@@ -101,6 +102,32 @@ def test_ground_projector_state_grows_its_subset(monkeypatch):
     h = q.LocalHamiltonian(5, tuple(q.LocalTerm("in", 1.0, (j,), p1) for j in range(3)))
     assert q.ground_projector_state(h).factor.shape == (32, 4)
     assert calls == [(8, {})]
+
+
+def test_ground_space_factor_asks_for_vectors_by_index_only(monkeypatch):
+    # a dense 64-dim matrix, one component, with a 10-fold ground level: the
+    # ground space outgrows the first subset solve, and no solve asks LAPACK
+    # for vectors with a value bound (scipy would allocate them n x n)
+    rng = rng_for("ground-by-index")
+    v, _ = np.linalg.qr(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))
+    levels = np.concatenate([np.zeros(10), 1.0 + rng.random(54)])
+    mat = (v * levels) @ v.conj().T
+    mat = (mat + mat.conj().T) / 2
+    seen = []
+    eigh = scipy.linalg.eigh
+
+    def record(a, *args, **kwargs):
+        seen.append(kwargs)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", record)
+    f = q.ground_space_factor(mat)
+    assert len(seen) == 3
+    assert not any(kw["subset_by_value"] is not None and not kw["eigvals_only"]
+                   for kw in seen)
+    assert f.shape == (64, 10)
+    np.testing.assert_allclose(10 * f @ f.conj().T, ground_projector_oracle(mat, 1e-10),
+                               rtol=0, atol=1e-12)
 
 
 def test_ground_space_factor_at_zero_tolerance():
