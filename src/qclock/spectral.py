@@ -9,11 +9,20 @@ the weighted sum of several terms on the union of their supports) through
 qcore.apply_local, so each product passes over the state once per group,
 not once per term. Its sums are ordered by group, so its results can
 differ from the assembled matrix's at rounding level. Dense handles up to
-12 qubits, matrix-free up to 16. The dense route factors the assembled
-matrix with qcore._eigh, which solves each connected block of its nonzero
-pattern on its own: a clock Hamiltonian splits wherever a register qubit
-is only acted on diagonally (an all-reject circuit's accept ancilla) or
-the gates only permute basis states.
+12 qubits, matrix-free up to 16.
+
+The dense route of min_eigenvalue solves the full operator directly. It
+first builds H sparsely from the same scattered entries and splits its
+basis at the largest gap of the sorted diagonal. When a computed
+certificate shows that the upper part is a penalized block (a clock
+Hamiltonian's illegal clock states under their L**12 penalty), that block
+is eliminated exactly (_eliminated_levels): the levels come from the Schur
+complement on the low block, at the finite penalty, with no 2^n x 2^n
+array. Otherwise it factors the assembled matrix with qcore._eigh, which
+solves each connected block of its nonzero pattern on its own: a clock
+Hamiltonian splits wherever a register qubit is only acted on diagonally
+(an all-reject circuit's accept ancilla) or the gates only permute basis
+states.
 """
 
 from __future__ import annotations
@@ -35,6 +44,10 @@ from .clockham import LocalHamiltonian
 # matrix-free products allowed per Lanczos solve, about ten times what a
 # 14-qubit random 3-local Hamiltonian takes
 _LANCZOS_MATVECS = 2000
+# Jacobi sweeps allowed per solve with the penalized block, and evaluations
+# of its Schur complement allowed per wanted level (see _eliminated_levels)
+_JACOBI_SWEEPS = 40
+_SCHUR_TRIALS = 3
 
 __all__ = [
     "PromiseGap", "SpectralReport", "assemble", "matvec",
@@ -70,11 +83,10 @@ def assemble(h: LocalHamiltonian) -> np.ndarray:
     _check_qubit_count(n, DENSE_QUBIT_CAP, "dense assembly")
     total = np.zeros((2 ** n, 2 ** n), dtype=complex)
     positions = []
-    for term in h.terms:
+    for rows, cols, vals in _weighted_entries(h):
         # one term's (row, col) pairs never repeat, so fancy-index += is
         # exact, and terms add in list order
-        rows, cols, vals = _scatter_entries(term.matrix, term.support, n)
-        total[rows, cols] += term.weight * vals
+        total[rows, cols] += vals
         positions.append((rows, cols))
     # every entry off the terms' positions is zero, so checking those
     # positions against their mirrors is the whole Hermitian check, in O(nnz)
@@ -82,6 +94,13 @@ def assemble(h: LocalHamiltonian) -> np.ndarray:
         _check_hermitian(total, "assemble: weighted sum", at=at)
     total.flags.writeable = False
     return total
+
+
+def _weighted_entries(h: LocalHamiltonian):
+    """Each term's global (rows, cols, weight * values), in term order."""
+    for term in h.terms:
+        rows, cols, vals = _scatter_entries(term.matrix, term.support, h.num_qubits)
+        yield rows, cols, term.weight * vals
 
 
 def matvec(h: LocalHamiltonian, vec: np.ndarray) -> np.ndarray:
@@ -102,7 +121,12 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
     """Lowest k eigenvalues and the ground eigenvector.
 
     method: dense (exact, <= 12 qubits), iterative (matrix-free Lanczos,
-    <= 16 qubits, deterministic seeded start vector), or auto. Lanczos stops
+    <= 16 qubits, deterministic seeded start vector), or auto. Dense is a
+    direct solve of the full operator: a penalized block certified by
+    _eliminated_levels (every illegal clock state at the default clock
+    penalty) is eliminated exactly, and the k levels come from its Schur
+    complement on the low block; without a certificate the assembled matrix
+    is factored with zheevr, block by block (qcore._eigh). Lanczos stops
     once every Ritz pair's absolute residual is below about
     2 * residual_target, and fails with ConvergenceError once it has spent
     _LANCZOS_MATVECS products, or when a total weight past
@@ -125,7 +149,8 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
         # ARPACK needs k < dim-1 and room for the Krylov basis
         method = "dense"
     if method == "dense":
-        evals, evecs = _eigh(assemble(h), k)
+        found = _eliminated_levels(h, k)
+        evals, evecs = found if found is not None else _eigh(assemble(h), k)
     else:
         # Lanczos on sigma*I - H with which="LA": the ground state of H
         # becomes the dominant end of a PSD operator, which restarted
@@ -193,6 +218,125 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
         residual=residual,
         seed=int(seed),
     )
+
+
+def _eliminated_levels(h: LocalHamiltonian, k: int):
+    """The k lowest eigenpairs of H with its penalized block eliminated
+    exactly, or None when the split below is not certified.
+
+    H is built sparsely and its basis split at the largest gap of the sorted
+    diagonal into a low block A and a penalized block B. The split is
+    certified when the Gershgorin floor of B, min(H_ii - sum_{j in B, j != i}
+    |H_ij|), lies above the Gershgorin ceiling of A, which bounds every
+    eigenvalue of H_AA: by Cauchy interlacing the |A| lowest levels of H then
+    lie below the floor, H_BB - lambda is positive definite at each, and each
+    is the fixed point lambda = mu_j(S(lambda)) of the Schur complement
+    S(lambda) = H_AA - H_AB (H_BB - lambda)^-1 H_BA (Feshbach map).
+    (H_BB - lambda)^-1 is applied by Jacobi sweeps, the partial sums of its
+    Neumann series in D^-1 O (D the diagonal of H_BB, O the rest, R_i the
+    row sums of |O|), each contracting by rho = max R_i / (D_i - lambda), so
+    the tail is at most rho / (1 - rho) times the last sweep's largest
+    entry. S is evaluated at a trial lambda. A level is accepted when that
+    tail's effect on S plus the shift of S between the trial and the level,
+    c |mu_j - lambda| / (1 - c) with c = ||H_AB||^2 / (floor - ceiling)^2,
+    is at rounding level, sqrt(|A|) eps max(1, ||H_AA||_inf); a level not
+    yet accepted becomes the next trial. Each vector is lifted as
+    [v_A; -(H_BB - lambda_j)^-1 H_BA v_A] and normalised. No 2^n x 2^n
+    array is formed. S goes to LAPACK in the reversed basis when zheevr
+    fails on it, and None is returned when that fails too.
+    """
+    n = h.num_qubits
+    _check_qubit_count(n, DENSE_QUBIT_CAP, "dense assembly")
+    if not h.terms:
+        return None
+    dim = 2 ** n
+    rows, cols, vals = (np.concatenate(part) for part in zip(*_weighted_entries(h)))
+    full = scipy.sparse.csr_array((vals, (rows, cols)), shape=(dim, dim))
+    _check_hermitian(full, "assemble: weighted sum", at=(rows, cols))
+    diag = full.diagonal().real
+    order = np.argsort(diag, kind="stable")
+    cut = int(np.argmax(np.diff(diag[order]))) + 1
+    if k > cut:
+        return None
+    low, high = np.sort(order[:cut]), np.sort(order[cut:])
+    h_aa = full[low][:, low]
+    h_ab = full[low][:, high]
+    h_bb = full[high][:, high]
+    d = diag[high]
+    off = h_bb - scipy.sparse.diags_array(h_bb.diagonal())
+    spread = abs(off).sum(axis=1)
+    floor = float((d - spread).min())
+    abs_aa = abs(h_aa).sum(axis=1)
+    ceiling = float((diag[low] + abs_aa - np.abs(h_aa.diagonal())).max())
+    if not floor > ceiling:
+        return None
+    abs_ab = abs(h_ab)
+    norm_ab = float(np.sqrt(abs_ab.sum(axis=0).max() * abs_ab.sum(axis=1).max()))
+    c = (norm_ab / (floor - ceiling)) ** 2
+    if not c < 1:
+        return None
+    tol = np.sqrt(cut) * np.finfo(float).eps * max(1.0, float(abs_aa.max()))
+    coupling = h_ab.conj().T                 # H_BA
+    # ||H_AB E|| <= reach * max|E| for an error E in (H_BB - lambda)^-1 H_BA
+    reach = norm_ab * np.sqrt(cut * d.size)
+
+    def resolvent(rhs, lam, scale):
+        # (H_BB - lam)^-1 rhs, sparse or dense, as the partial sums of its
+        # Neumann series in D^-1 O (Jacobi sweeps), and a bound on the max
+        # entry of what is left once scale times that bound is below tol / 2
+        inv = scipy.sparse.diags_array(1 / (d - lam))
+        rho = float((spread / (d - lam)).max())
+        x = term = inv @ rhs
+        for _ in range(_JACOBI_SWEEPS):
+            term = -(inv @ (off @ term))
+            x = x + term
+            err = rho / (1 - rho) * float(abs(term).max())
+            if scale * err <= tol / 2:
+                return x, err
+        return None, None
+
+    levels = np.zeros(k)
+    picked = np.zeros((cut, k), dtype=complex)
+    done = np.zeros(k, dtype=bool)
+    lam = float(diag[low].min())
+    for _ in range(1 + _SCHUR_TRIALS * k):
+        x, err = resolvent(coupling, lam, reach)
+        if x is None:
+            return None
+        s = (h_aa - h_ab @ x).toarray()
+        try:
+            mu, vecs = _eigh(s, k)
+        except ConvergenceError:
+            # zheevr (MRRR) now and then fails on exactly paired levels;
+            # reversing the basis is an exact similarity that it reduces
+            # along another path
+            try:
+                mu, vecs = _eigh(s[::-1, ::-1], k)
+            except ConvergenceError:
+                return None
+            vecs = vecs[::-1]
+        bound = (reach * err + c * np.abs(mu - lam)) / (1 - c)
+        new = ~done & (bound <= tol)
+        levels[new], picked[:, new] = mu[new], vecs[:, new]
+        done |= new
+        if done.all():
+            break
+        lam = min(float(mu[np.argmin(done)]), ceiling)
+    else:
+        return None
+    evecs = np.zeros((dim, k), dtype=complex)
+    evecs[low] = picked
+    # each lift solves at its own level, so the ground pair's residual
+    # is at rounding level; ||H_BB|| <= max(D + R) scales its error
+    lift_scale = float((d + spread).max()) * np.sqrt(d.size)
+    for j in range(k):
+        x, _ = resolvent(coupling @ picked[:, j], levels[j], lift_scale)
+        if x is None:
+            return None
+        evecs[high, j] = -x
+    evecs /= np.linalg.norm(evecs, axis=0)
+    order = np.argsort(levels, kind="stable")
+    return levels[order], evecs[:, order]
 
 
 def _pair_residuals(h: LocalHamiltonian, evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import qclock
 from qclock import (
@@ -215,6 +216,19 @@ def ground_projector_oracle(mat: np.ndarray, tol: float) -> np.ndarray:
     evals, evecs = np.linalg.eigh(mat)
     v = evecs[:, evals - evals[0] <= tol]
     return v @ v.conj().T
+
+
+def lapack_inputs(monkeypatch) -> list:
+    """Every matrix that scipy.linalg.eigh receives from now on."""
+    seen = []
+    eigh = scipy.linalg.eigh
+
+    def record(a, *args, **kwargs):
+        seen.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", record)
+    return seen
 
 
 def checkout_env(**overrides) -> dict:

@@ -195,6 +195,27 @@ def test_witness_stdout_independent_of_blas_threads(name, tmp_path):
         assert acc <= 1e-12 and "no-witness-regime" in report["flags"]
 
 
+@pytest.mark.parametrize("name", sorted(NINE_QUBIT_CIRCUITS))
+def test_spectrum_stdout_independent_of_blas_threads(name, tmp_path):
+    # one more gate makes a 10-qubit clock layout, which the dense route
+    # solves with its penalized block eliminated: the printed levels are the
+    # finite-penalty ones, to rounding, whatever the BLAS thread count
+    circuit = q.parse_circuit(NINE_QUBIT_CIRCUITS[name] + "gate H 0\n")
+    ham = tmp_path / "c.ham"
+    ham.write_text(q.serialize_hamiltonian(q.compile_circuit(circuit)))
+    outs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qclock.cli", "spectrum", str(ham)],
+            capture_output=True, cwd=tmp_path, env=checkout_env(OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    report = dict(line.split(" ", 1) for line in outs[0].decode().splitlines())
+    assert report["method"] == "dense"
+    assert float(report["residual"]) <= 1e-12
+
+
 @pytest.mark.parametrize("text, k, dim", [
     # 20000 copies of 1 input and L = 2
     ("n_input 1\nn_ancilla 0\naccept 0\ngate H 0\ngate H 0\n", "20000",

@@ -10,7 +10,7 @@ from qclock import qcore
 from qclock.qcore import _check_hermitian, _check_unitary, apply_local, fmt_float
 
 from conftest import (
-    all_reject_circuit, assemble_oracle, ground_projector_oracle,
+    all_reject_circuit, assemble_oracle, ground_projector_oracle, lapack_inputs,
     partial_trace_oracle, random_density_matrix, random_povm_hamiltonian,
     random_pure_state, rng_for,
 )
@@ -334,21 +334,8 @@ def test_ground_space_spanning_two_blocks():
                                rtol=0, atol=1e-12)
 
 
-def _lapack_inputs(monkeypatch) -> list:
-    """Every matrix that scipy.linalg.eigh receives from now on."""
-    seen = []
-    eigh = scipy.linalg.eigh
-
-    def record(a, *args, **kwargs):
-        seen.append(a)
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh", record)
-    return seen
-
-
 def test_one_component_reaches_lapack_uncopied(monkeypatch):
-    seen = _lapack_inputs(monkeypatch)
+    seen = lapack_inputs(monkeypatch)
     rng = rng_for("one-component")
     a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     chain = np.diag(np.arange(32.0)) + np.diag(np.ones(31), 1) + np.diag(np.ones(31), -1)
@@ -362,7 +349,7 @@ def test_singleton_blocks_skip_lapack(monkeypatch):
     # a diagonal state is 256 blocks of 1 x 1, each read off as its entry
     # and a unit vector: no LAPACK call, and bit for bit the factor that
     # one zheevr call per block gave (frozen digest), ties kept in block order
-    seen = _lapack_inputs(monkeypatch)
+    seen = lapack_inputs(monkeypatch)
     rng = rng_for("singleton-blocks")
     p = rng.integers(1, 5, size=256).astype(float)
     rho = q.DensityMatrix(8, np.diag(p / p.sum()))
@@ -383,10 +370,13 @@ def test_singleton_blocks_skip_lapack(monkeypatch):
 
 
 def test_all_reject_clock_hamiltonian_is_factored_by_blocks(monkeypatch):
-    # no gate touches the accept ancilla, so H is block diagonal in its bit
-    seen = _lapack_inputs(monkeypatch)
+    # no gate touches the accept ancilla, so H is block diagonal in its bit;
+    # the full matrix goes to _eigh directly, as the thermal routes hand it
+    # (min_eigenvalue eliminates its clock penalty first)
     h = q.compile_circuit(all_reject_circuit(rng_for("all-reject-blocks"), 2, 3))
-    report = q.min_eigenvalue(h, k=4, method="dense")
+    full = q.assemble(h)
+    seen = lapack_inputs(monkeypatch)
+    evals, _ = qcore._eigh(full, 4)
     dim = 2 ** h.num_qubits
     shapes = [a.shape for a in seen]
     assert len(shapes) >= 2
@@ -394,7 +384,7 @@ def test_all_reject_clock_hamiltonian_is_factored_by_blocks(monkeypatch):
     assert all(a.flags.f_contiguous for a in seen)    # LAPACK's own layout: one copy
     assert sum(rows for rows, _ in shapes) == dim
     want = np.linalg.eigvalsh(assemble_oracle(h))[:4]
-    np.testing.assert_allclose(report.spectrum, want, rtol=0,
+    np.testing.assert_allclose(evals, want, rtol=0,
                                atol=np.sqrt(dim) * np.finfo(float).eps * h.total_weight)
 
 

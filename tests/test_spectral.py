@@ -5,11 +5,12 @@ import pytest
 
 import qclock as q
 
-from qclock import clockham, spectral
+from qclock import clockham, qcore, spectral
 
 from conftest import (
     all_reject_circuit, assemble_oracle, history_transform_oracle,
-    random_circuit, random_povm_hamiltonian, random_pure_state,
+    lapack_inputs, legal_oracle, perfect_circuit, random_circuit,
+    random_povm_hamiltonian, random_pure_state,
     random_unit_interval_hermitian, rng_for,
 )
 
@@ -331,3 +332,133 @@ def test_min_eigenvalue_respects_dense_cap():
     # iterative path stays available
     rep = q.min_eigenvalue(h, k=1, method="iterative", seed=4)
     assert abs(rep.min_eigenvalue) < 1e-8
+
+
+def eliminated_clock_layouts():
+    """Perfect (0 ancillas), all-reject (1) and random (2 and 3 ancillas)
+    circuits at L = 2..8, at most 9 qubits compiled (the dense legal oracle
+    takes seconds at 10)."""
+    rng = rng_for("eliminated-clock")
+    out = []
+    for length in range(2, 9):
+        out.append(perfect_circuit(rng, 2 if length < 8 else 1, length))
+        if length < 8:
+            out.append(all_reject_circuit(rng, 1, length))
+        out.extend(random_circuit(rng, n_input=1, n_ancilla=m, length=length)
+                   for m in (2, 3) if 1 + m + length <= 9)
+    return out
+
+
+def forbid_assembly(monkeypatch):
+    def forbidden(h):
+        raise AssertionError("assemble called on a certified clock layout")
+
+    monkeypatch.setattr(spectral, "assemble", forbidden)
+
+
+def test_dense_clock_solves_eliminate_the_penalized_block(monkeypatch):
+    # at the default L**12 penalty every illegal clock state is eliminated:
+    # LAPACK sees nothing larger than the legal block, nothing is assembled,
+    # and each level lies within the projection-lemma leak of the legal one
+    seen = lapack_inputs(monkeypatch)
+    forbid_assembly(monkeypatch)
+    for c in eliminated_clock_layouts():
+        h = q.compile_circuit(c)
+        seen.clear()
+        report = q.min_eigenvalue(h, k=6, method="dense")
+        legal_dim = 2 ** (c.n_input + c.n_ancilla) * (c.length + 1)
+        assert all(a.shape[0] <= legal_dim for a in seen)
+        assert report.method == "dense" and report.residual <= 1e-12
+        legal = np.linalg.eigvalsh(legal_oracle(c, [c.accept_qubit]))[:6]
+        leak = clockham._projection_leak(c, [c.accept_qubit])
+        np.testing.assert_allclose(report.spectrum, legal, rtol=0, atol=leak + 1e-12)
+        if h.num_qubits <= 8:
+            # small enough that a full-space solve resolves the finite penalty
+            full = np.linalg.eigvalsh(assemble_oracle(h))[:6]
+            atol = np.sqrt(2 ** h.num_qubits) * np.finfo(float).eps * h.total_weight
+            np.testing.assert_allclose(report.spectrum, full, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("case", ["random", "moderate-penalty", "k-past-legal-block",
+                                  "lapack-failure"])
+def test_dense_route_without_a_certificate_factors_the_assembled_matrix(case, monkeypatch):
+    rng = rng_for(f"no-certificate-{case}")
+    if case == "random":
+        h, k = random_povm_hamiltonian(rng, 6, 12), 4
+    elif case == "moderate-penalty":
+        c = random_circuit(rng, n_input=2, n_ancilla=1, length=4)
+        h, k = q.compile_circuit(c, clock_penalty=2.0), 4
+    elif case == "k-past-legal-block":
+        # 1 input and L = 2: 6 legal states of 8
+        h, k = q.compile_circuit(perfect_circuit(rng, 1, 2)), 7
+    else:
+        # zheevr refuses the reduced matrix in both bases
+        h, k = q.compile_circuit(all_reject_circuit(rng, 2, 4)), 4
+        eigh = spectral._eigh
+
+        def fail_reduced(mat, *args, **kwargs):
+            if len(mat) < 2 ** h.num_qubits:
+                raise q.ConvergenceError("dense eigensolver failed: Internal Error.")
+            return eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_eigh", fail_reduced)
+    assert spectral._eliminated_levels(h, k) is None
+    evals, evecs = qcore._eigh(q.assemble(h), k)
+    calls = []
+    assemble = spectral.assemble
+    monkeypatch.setattr(spectral, "assemble", lambda h: calls.append(h) or assemble(h))
+    report = q.min_eigenvalue(h, k=k, method="dense")
+    assert len(calls) == 1
+    assert report.spectrum == tuple(float(v) for v in evals)
+    ground = q.PureState(h.num_qubits, evecs[:, 0] / np.linalg.norm(evecs[:, 0]))
+    assert np.array_equal(report.ground_state.amplitudes, ground.amplitudes)
+
+
+# 10-qubit layouts whose reduced matrix OpenBLAS's zheevr refuses with an
+# "Internal Error" (MRRR on exactly paired levels), seen twice in about
+# 21,000 bench-size solves; it solves the reversed basis
+ZHEEVR_REFUSED = {
+    "perfect": ("n_input 3\nn_ancilla 0\naccept 2\nepsilon 0.25\ngate Z 0\ngate H 1\n"
+                "gate X 0\ngate X 0\ngate CNOT 2 1\ngate CZ 0 2\ngate CZ 2 1\n"),
+    "all-reject": ("n_input 2\nn_ancilla 1\naccept 2\nepsilon 0.25\ngate H 0\ngate Y 0\n"
+                   "gate CNOT 1 0\ngate S 0\ngate Y 0\ngate Z 1\ngate CNOT 1 0\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZHEEVR_REFUSED))
+def test_reduced_solve_retries_zheevr_in_the_reversed_basis(name, monkeypatch):
+    # the first reduced solve fails on purpose, whatever the LAPACK build
+    c = q.parse_circuit(ZHEEVR_REFUSED[name])
+    h = q.compile_circuit(c)
+    calls = []
+    eigh = spectral._eigh
+
+    def fail_first(mat, *args, **kwargs):
+        calls.append(mat)
+        if len(calls) == 1:
+            raise q.ConvergenceError("dense eigensolver failed: Internal Error.")
+        return eigh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_eigh", fail_first)
+    forbid_assembly(monkeypatch)
+    report = q.min_eigenvalue(h, k=6, method="dense")
+    assert len(calls) >= 2 and np.array_equal(calls[1], calls[0][::-1, ::-1])
+    assert report.residual <= 1e-12
+    legal = np.linalg.eigvalsh(clockham.legal_hamiltonian(c))[:6]
+    leak = clockham._projection_leak(c, [c.accept_qubit])
+    np.testing.assert_allclose(report.spectrum, legal, rtol=0, atol=leak + 1e-12)
+
+
+def test_dense_route_keeps_the_weighted_sum_hermitian_check():
+    # the clock layout alone is certified; one term whose weight scales its
+    # defect past 1e-12 makes the sum fail assemble's check, with its text
+    h = q.compile_circuit(perfect_circuit(rng_for("eliminated-hermitian"), 2, 3))
+    assert spectral._eliminated_levels(h, 4) is not None
+    lop = np.array([[0.0, 1e-12], [0.0, 0.0]])
+    bad = q.LocalHamiltonian(h.layout, h.terms + (q.LocalTerm("prop_hopping", 10.0, (0,), lop),))
+    with pytest.raises(q.ValidationError) as assembled:
+        q.assemble(bad)
+    with pytest.raises(q.ValidationError) as solved:
+        q.min_eigenvalue(bad, k=4, method="dense")
+    assert str(solved.value) == str(assembled.value)
+    assert "not Hermitian within 1e-12" in str(solved.value)
