@@ -45,7 +45,7 @@ from .thermal import (
     DecisionTemperature, EnergyBound, Temperature, ThermalReport,
     cooling_temperature, decision_temperature, gibbs_decide, gibbs_factor,
     gibbs_reports, gibbs_state, ground_projector_state, ground_space_factor,
-    ising_decision_temperature, mean_energy_bound,
+    mean_energy_bound,
 )
 
 __version__ = "0.1.0"
@@ -65,7 +65,7 @@ __all__ = [
     "exact_reject_prob", "expectation", "extract_witness", "gibbs_decide",
     "gibbs_factor", "gibbs_reports", "gibbs_state", "ground_projector_state",
     "ground_space_factor", "hamiltonian_energy",
-    "history_pull_back", "history_state", "ising_decision_temperature",
+    "history_pull_back", "history_state",
     "kl_divergence", "legal_hamiltonian", "majority_threshold", "matvec",
     "mean_energy_bound", "min_eigenvalue", "named_stream",
     "naive_restriction_reject", "operator_norm", "optimal_witness",

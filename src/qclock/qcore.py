@@ -327,45 +327,51 @@ def _components(mat: np.ndarray) -> list:
     return np.split(order, np.cumsum(np.bincount(label))[:-1])
 
 
-def _eigh_block(mat: np.ndarray, k, vectors: bool, upper, overwrite: bool = False):
-    """One zheevr call, as _eigh describes it, on one connected block;
-    overwrite lets LAPACK factor a Fortran-ordered mat in place."""
-    subset = None if k is None else (0, min(k, mat.shape[0]) - 1)
-    below = None if upper is None else (-np.inf, upper)
-    try:
-        return scipy.linalg.eigh(mat, driver="evr", subset_by_index=subset,
-                                 subset_by_value=below, eigvals_only=not vectors,
-                                 overwrite_a=overwrite)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"dense eigensolver failed: {exc}") from None
+def _eigh_block(mat: np.ndarray, idx, k, vectors: bool):
+    """One zheevr solve, as _eigh describes it, of mat (idx None) or of its
+    principal block at the indices idx, retried once in the reversed basis."""
+    size = len(mat) if idx is None else idx.size
+    subset = None if k is None else (0, min(k, size) - 1)
+    for flip in (False, True):
+        if idx is None:
+            # the caller's array, never overwritten; reversed, scipy copies it
+            block, overwrite = (mat[::-1, ::-1] if flip else mat), False
+        else:
+            # gathered through mat.T, so it comes out Fortran-ordered and
+            # LAPACK factors that one copy in place; a retry gathers afresh
+            order = idx[::-1] if flip else idx
+            block, overwrite = mat.T[np.ix_(order, order)].T, True
+        try:
+            out = scipy.linalg.eigh(block, driver="evr", subset_by_index=subset,
+                                    eigvals_only=not vectors, overwrite_a=overwrite)
+        except np.linalg.LinAlgError as exc:
+            error = exc
+            continue
+        return (out[0], out[1][::-1]) if flip and vectors else out
+    raise ConvergenceError(f"dense eigensolver failed: {error}") from None
 
 
-def _eigh_singleton(value: float, vectors: bool, upper):
-    """A 1 x 1 block's eigenpair as zheevr returns it, without the call: its
-    real diagonal entry and a unit vector, or nothing past upper."""
-    values = np.array([value] if upper is None or value <= upper else [])
-    return (values, np.ones((1, values.size), dtype=complex)) if vectors else values
-
-
-def _eigh(mat: np.ndarray, k: int | None = None, vectors: bool = True, *,
-          upper: float | None = None):
-    """Ascending eigenpairs of a dense Hermitian matrix: all, the lowest k,
-    or (upper given) every one at or below upper. With vectors=False only
-    the eigenvalues are computed and returned. Every dense factorisation
-    goes through LAPACK's MRRR driver (zheevr). It costs the same as the
-    divide-and-conquer driver (zheevd) behind np.linalg.eigh, which fails
-    to converge on some clock Hamiltonians at one BLAS thread. A LAPACK
-    failure is a ConvergenceError.
+def _eigh(mat: np.ndarray, k: int | None = None, vectors: bool = True):
+    """Ascending eigenpairs of a dense Hermitian matrix: all of them, or the
+    lowest k. With vectors=False only the eigenvalues are computed and
+    returned. Every dense factorisation goes through LAPACK's MRRR driver
+    (zheevr). It costs the same as the divide-and-conquer driver (zheevd)
+    behind np.linalg.eigh, which fails to converge on some clock
+    Hamiltonians at one BLAS thread. zheevr in turn now and then refuses a
+    matrix with exactly paired levels ("Internal Error"); the block is then
+    solved once more in the reversed basis, an exact similarity that MRRR
+    reduces along another path, and the vector rows are flipped back. A
+    second failure is a ConvergenceError.
 
     The matrix is split into the connected components of its nonzero
     pattern (_components). A single component goes to LAPACK as it is,
-    uncopied. Otherwise each principal block is solved on its own (the
-    lowest min(k, size) of each, or each one's levels at or below upper),
-    and the results are merged: sorted stably by value, ties in block
-    order, and cut to the lowest k. A finite 1 x 1 block skips LAPACK: its
-    eigenpair is its diagonal entry and a unit vector, exactly as zheevr
-    gives it. Eigenvectors are scattered into zero-padded columns. The
-    split is exact, as the entries between blocks are exact zeros, but the
+    uncopied and never overwritten. Otherwise each principal block is
+    solved on its own (the lowest min(k, size) of each), and the results
+    are merged: sorted stably by value, ties in block order, and cut to
+    the lowest k. A finite 1 x 1 block skips LAPACK: its eigenpair is its
+    diagonal entry and a unit vector, exactly as zheevr gives it.
+    Eigenvectors are scattered into zero-padded columns. The split is
+    exact, as the entries between blocks are exact zeros, but the
     per-block solves round differently from one solve of the whole matrix.
     Clock Hamiltonians split wherever a register qubit is only acted on
     diagonally (an all-reject circuit's accept ancilla) and wherever the
@@ -373,18 +379,16 @@ def _eigh(mat: np.ndarray, k: int | None = None, vectors: bool = True, *,
     """
     blocks = _components(mat)
     if len(blocks) == 1:
-        return _eigh_block(mat, k, vectors, upper)
+        return _eigh_block(mat, None, k, vectors)
     parts = []
     for idx in blocks:
         corner = mat[idx[0], idx[0]]
         # a non-finite entry still goes to LAPACK, whose input check refuses it
         if idx.size == 1 and np.isfinite(corner):
-            parts.append(_eigh_singleton(corner.real, vectors, upper))
+            value = np.array([corner.real])
+            parts.append((value, np.ones((1, 1), dtype=complex)) if vectors else value)
         else:
-            # each block is gathered through mat.T, so it comes out
-            # Fortran-ordered and LAPACK factors that one copy in place
-            parts.append(_eigh_block(mat.T[np.ix_(idx, idx)].T, k, vectors, upper,
-                                     overwrite=True))
+            parts.append(_eigh_block(mat, idx, k, vectors))
     evals = np.concatenate([p[0] if vectors else p for p in parts])
     order = np.argsort(evals, kind="stable")[:k]
     if not vectors:

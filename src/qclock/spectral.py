@@ -18,7 +18,9 @@ certificate shows that the upper part is a penalized block (a clock
 Hamiltonian's illegal clock states under their L**12 penalty), that block
 is eliminated exactly (_eliminated_levels): the levels come from the Schur
 complement on the low block, at the finite penalty, with no 2^n x 2^n
-array. Otherwise it factors the assembled matrix with qcore._eigh, which
+array. Each complement is solved by qcore._eigh, which retries a zheevr
+failure once in the reversed basis; a second failure falls back to the
+route below. Otherwise it factors the assembled matrix with qcore._eigh, which
 solves each connected block of its nonzero pattern on its own: a clock
 Hamiltonian splits wherever a register qubit is only acted on diagonally
 (an all-reject circuit's accept ancilla) or the gates only permute basis
@@ -242,8 +244,8 @@ def _eliminated_levels(h: LocalHamiltonian, k: int):
     is at rounding level, sqrt(|A|) eps max(1, ||H_AA||_inf); a level not
     yet accepted becomes the next trial. Each vector is lifted as
     [v_A; -(H_BB - lambda_j)^-1 H_BA v_A] and normalised. No 2^n x 2^n
-    array is formed. S goes to LAPACK in the reversed basis when zheevr
-    fails on it, and None is returned when that fails too.
+    array is formed. S is solved by qcore._eigh, which retries zheevr once
+    in the reversed basis; None is returned when that fails too.
     """
     n = h.num_qubits
     _check_qubit_count(n, DENSE_QUBIT_CAP, "dense assembly")
@@ -307,14 +309,7 @@ def _eliminated_levels(h: LocalHamiltonian, k: int):
         try:
             mu, vecs = _eigh(s, k)
         except ConvergenceError:
-            # zheevr (MRRR) now and then fails on exactly paired levels;
-            # reversing the basis is an exact similarity that it reduces
-            # along another path
-            try:
-                mu, vecs = _eigh(s[::-1, ::-1], k)
-            except ConvergenceError:
-                return None
-            vecs = vecs[::-1]
+            return None
         bound = (reach * err + c * np.abs(mu - lam)) / (1 - c)
         new = ~done & (bound <= tol)
         levels[new], picked[:, new] = mu[new], vecs[:, new]

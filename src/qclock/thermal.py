@@ -42,8 +42,7 @@ __all__ = [
     "Temperature", "ThermalReport", "EnergyBound", "DecisionTemperature",
     "gibbs_factor", "gibbs_state", "gibbs_reports",
     "ground_projector_state", "ground_space_factor", "mean_energy_bound",
-    "cooling_temperature", "decision_temperature",
-    "ising_decision_temperature", "gibbs_decide",
+    "cooling_temperature", "decision_temperature", "gibbs_decide",
 ]
 
 
@@ -139,15 +138,13 @@ def ground_space_factor(mat: np.ndarray, degeneracy_tol: float = _DEGENERACY_TOL
     The ground space is every eigenvector within degeneracy_tol of the
     lowest eigenvalue. A subset solve asks for the lowest _GROUND_SUBSET
     eigenpairs; if all are in it and more remain, an eigenvalues-only solve
-    counts the levels at or below lowest + degeneracy_tol, and one more
-    subset solve asks for exactly that many. Vectors are only ever asked for
-    by index: a solve bounded by value makes scipy allocate an n x n block
-    for them. V holds the r ground vectors.
+    of every level counts those at or below lowest + degeneracy_tol, and one
+    more subset solve asks for exactly that many. V holds the r ground vectors.
     """
     evals, evecs = _eigh(mat, _GROUND_SUBSET)
     if evals[-1] - evals[0] <= degeneracy_tol and len(evals) < len(mat):
         # a tolerance below rounding (0, say) can count fewer; keep the first then
-        count = len(_eigh(mat, vectors=False, upper=evals[0] + degeneracy_tol))
+        count = np.count_nonzero(_eigh(mat, vectors=False) <= evals[0] + degeneracy_tol)
         if count > len(evals):
             evals, evecs = _eigh(mat, count)
     vecs = evecs[:, evals - evals[0] <= degeneracy_tol]
@@ -202,17 +199,6 @@ def decision_temperature(epsilon: float, length: int, n: int) -> DecisionTempera
         raise ValidationError("length and n must be >= 1")
     t = (1.0 - 2.0 * epsilon) / (4.0 * _LN2 * (length + 1) * n)
     return DecisionTemperature(Temperature(t), _decision_energy(length))
-
-
-def ising_decision_temperature(delta_e: float, n: int,
-                               ground_energy: float = 0.0) -> DecisionTemperature:
-    """Classical spin-glass variant: T = 1/(ln2 dE n), decision at a + dE/2."""
-    if not delta_e > 0:
-        raise ValidationError(f"energy quantum {delta_e} must be > 0")
-    if n < 1:
-        raise ValidationError(f"spin count n={n} must be >= 1")
-    t = 1.0 / (_LN2 * delta_e * n)
-    return DecisionTemperature(Temperature(t), ground_energy + delta_e / 2.0)
 
 
 def _verdict(mean_energy: float, decision_energy: float) -> str:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -248,4 +249,5 @@ def sufficient_copies(delta: float) -> int:
     """Smallest k with k > 16/delta^4 (reported only, never allocated)."""
     if not 0.0 < delta <= 1.0:
         raise ValidationError(f"delta {delta} outside (0, 1]")
-    return int(math.floor(16.0 / delta ** 4)) + 1
+    # exact in rationals: 16/delta^4 overflows a float below about 1e-77
+    return math.floor(16 / Fraction(delta) ** 4) + 1

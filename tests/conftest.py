@@ -231,6 +231,25 @@ def lapack_inputs(monkeypatch) -> list:
     return seen
 
 
+def failing_lapack(monkeypatch, fails):
+    """scipy.linalg.eigh refuses the calls whose 0-based numbers are in
+    `fails`, as zheevr's MRRR does ("Internal Error"), after overwriting
+    an input it may overwrite; returns a copy of every input it saw."""
+    seen = []
+    eigh = scipy.linalg.eigh
+
+    def flaky(a, *args, **kwargs):
+        seen.append(np.array(a))
+        if len(seen) - 1 in fails:
+            if kwargs.get("overwrite_a"):
+                a[...] = np.nan
+            raise np.linalg.LinAlgError("Internal Error.")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", flaky)
+    return seen
+
+
 def checkout_env(**overrides) -> dict:
     """Environment for a `python -m qclock.cli` child process.
 

@@ -10,8 +10,8 @@ from qclock import qcore
 from qclock.qcore import _check_hermitian, _check_unitary, apply_local, fmt_float
 
 from conftest import (
-    all_reject_circuit, assemble_oracle, ground_projector_oracle, lapack_inputs,
-    partial_trace_oracle, random_density_matrix, random_povm_hamiltonian,
+    all_reject_circuit, assemble_oracle, failing_lapack, ground_projector_oracle,
+    lapack_inputs, partial_trace_oracle, random_density_matrix, random_povm_hamiltonian,
     random_pure_state, rng_for,
 )
 
@@ -308,10 +308,9 @@ def test_eigh_by_blocks_matches_the_whole_matrix():
     assert sorted(len(c) for c in blocks) == [1, 3, 8, 20]
     full = np.linalg.eigvalsh(h)
     tol = 1e-12 * np.abs(full).max()
-    # all levels; the lowest 2 (the level two blocks share); a k larger
-    # than every block; and an upper bound that leaves two blocks empty
-    for kwargs, want in (({}, full), ({"k": 2}, full[:2]), ({"k": 25}, full[:25]),
-                         ({"upper": 0.6}, full[full <= 0.6])):
+    # all levels; the lowest 2 (the level two blocks share); and a k
+    # larger than every block
+    for kwargs, want in (({}, full), ({"k": 2}, full[:2]), ({"k": 25}, full[:25])):
         vals, vecs = qcore._eigh(h, **kwargs)
         np.testing.assert_allclose(vals, want, rtol=0, atol=tol)
         np.testing.assert_allclose(qcore._eigh(h, vectors=False, **kwargs), want,
@@ -323,7 +322,6 @@ def test_eigh_by_blocks_matches_the_whole_matrix():
         # each eigenvector lives on one block, zero elsewhere
         for col in vecs.T:
             assert sum(np.any(col[c] != 0) for c in blocks) == 1
-    assert len(qcore._eigh(h, upper=-2.0)[0]) == 0
 
 
 def test_ground_space_spanning_two_blocks():
@@ -355,18 +353,59 @@ def test_singleton_blocks_skip_lapack(monkeypatch):
     rho = q.DensityMatrix(8, np.diag(p / p.sum()))
     assert seen == []
     assert q.state_digest(rho.factor) == "448f0f3dbe5667e1"
-    # beside larger blocks, the singleton level 3.0 merges into place, and
-    # drops out below `upper`
+    # beside larger blocks, the singleton level 3.0 merges into place
     h = _hidden_blocks(rng_for("eigh-blocks"), BLOCK_LEVELS)
     full = np.linalg.eigvalsh(h)
     tol = 1e-12 * np.abs(full).max()
-    for kwargs, want in (({}, full), ({"k": 4}, full[:4]),
-                         ({"upper": 0.6}, full[full <= 0.6]),
-                         ({"upper": full[0] - 1.0}, full[:0])):
+    for kwargs, want in (({}, full), ({"k": 4}, full[:4])):
         vals, vecs = qcore._eigh(h, **kwargs)
         np.testing.assert_allclose(vals, want, rtol=0, atol=tol)
         np.testing.assert_allclose(h @ vecs, vecs * vals, rtol=0, atol=tol)
-    assert len(seen) == 4 * 3        # the three larger blocks, once per call
+    assert len(seen) == 2 * 3        # the three larger blocks, once per call
+
+
+def test_zheevr_failure_is_retried_once_in_the_reversed_basis(monkeypatch):
+    # the first LAPACK call, on a gathered block, scribbles over its copy
+    # and fails: the retry gathers that block afresh in reversed order and
+    # flips the vector rows back, so levels and vectors match the oracle
+    h = _hidden_blocks(rng_for("eigh-blocks"), BLOCK_LEVELS)
+    before = h.copy()
+    full = np.linalg.eigvalsh(h)
+    tol = 1e-12 * np.abs(full).max()
+    for kwargs, want in (({}, full), ({"k": 4}, full[:4])):
+        seen = failing_lapack(monkeypatch, {0})
+        vals, vecs = qcore._eigh(h, **kwargs)
+        assert len(seen) == 3 + 1
+        np.testing.assert_array_equal(seen[1], seen[0][::-1, ::-1])
+        np.testing.assert_allclose(vals, want, rtol=0, atol=tol)
+        np.testing.assert_allclose(h @ vecs, vecs * vals, rtol=0, atol=tol)
+        np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(len(want)),
+                                   rtol=0, atol=1e-12)
+        failing_lapack(monkeypatch, {0})
+        np.testing.assert_allclose(qcore._eigh(h, vectors=False, **kwargs), want,
+                                   rtol=0, atol=tol)
+    np.testing.assert_array_equal(h, before)
+    # a second failure on the same block is typed (exit 4)
+    failing_lapack(monkeypatch, {0, 1})
+    with pytest.raises(q.ConvergenceError, match="dense eigensolver failed: Internal Error"):
+        qcore._eigh(h, 4)
+    # a single component reaches LAPACK uncopied, and neither the failed
+    # call nor the retry in the reversed basis overwrites it
+    rng = rng_for("one-component-retry")
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    one = a + a.conj().T
+    before = one.copy()
+    seen = failing_lapack(monkeypatch, {0})
+    vals, vecs = qcore._eigh(one, 3)
+    assert len(seen) == 2
+    np.testing.assert_array_equal(seen[1], before[::-1, ::-1])
+    np.testing.assert_array_equal(one, before)
+    np.testing.assert_allclose(vals, np.linalg.eigvalsh(before)[:3], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(one @ vecs, vecs * vals, rtol=0, atol=1e-12)
+    failing_lapack(monkeypatch, {0, 1})
+    with pytest.raises(q.ConvergenceError):
+        qcore._eigh(one, 3)
+    np.testing.assert_array_equal(one, before)
 
 
 def test_all_reject_clock_hamiltonian_is_factored_by_blocks(monkeypatch):

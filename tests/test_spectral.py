@@ -8,7 +8,7 @@ import qclock as q
 from qclock import clockham, qcore, spectral
 
 from conftest import (
-    all_reject_circuit, assemble_oracle, history_transform_oracle,
+    all_reject_circuit, assemble_oracle, failing_lapack, history_transform_oracle,
     lapack_inputs, legal_oracle, perfect_circuit, random_circuit,
     random_povm_hamiltonian, random_pure_state,
     random_unit_interval_hermitian, rng_for,
@@ -427,19 +427,12 @@ ZHEEVR_REFUSED = {
 
 @pytest.mark.parametrize("name", sorted(ZHEEVR_REFUSED))
 def test_reduced_solve_retries_zheevr_in_the_reversed_basis(name, monkeypatch):
-    # the first reduced solve fails on purpose, whatever the LAPACK build
+    # the first LAPACK call of the reduced solve fails on purpose, whatever
+    # the LAPACK build; qcore's eigensolver solves that matrix again in the
+    # reversed basis, and the full-space route never runs
     c = q.parse_circuit(ZHEEVR_REFUSED[name])
     h = q.compile_circuit(c)
-    calls = []
-    eigh = spectral._eigh
-
-    def fail_first(mat, *args, **kwargs):
-        calls.append(mat)
-        if len(calls) == 1:
-            raise q.ConvergenceError("dense eigensolver failed: Internal Error.")
-        return eigh(mat, *args, **kwargs)
-
-    monkeypatch.setattr(spectral, "_eigh", fail_first)
+    calls = failing_lapack(monkeypatch, {0})
     forbid_assembly(monkeypatch)
     report = q.min_eigenvalue(h, k=6, method="dense")
     assert len(calls) >= 2 and np.array_equal(calls[1], calls[0][::-1, ::-1])

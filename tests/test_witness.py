@@ -380,6 +380,18 @@ def test_sufficient_copies_frozen_values():
     assert q.sufficient_copies(1.0) == 17
     assert q.sufficient_copies(0.5) == 257
     assert q.sufficient_copies(0.25) == 4097
+    # exact past float range: 16/delta^4 overflows below about 1e-77, and
+    # the smallest subnormal 2^-1074 gives exactly 2^4300 + 1
+    assert len(str(q.sufficient_copies(1e-80))) == 322
+    assert len(str(q.sufficient_copies(1e-100))) == 402
+    assert q.sufficient_copies(5e-324) == 2 ** 4300 + 1
+    # against the exact ratio delta = p/r: floor(16 r^4 / p^4) + 1
+    rng = rng_for("sufficient-copies")
+    deltas = np.concatenate([[1e-80, 1e-100, 5e-324], rng.random(20),
+                             10.0 ** rng.uniform(-300, 0, 20)])
+    for delta in deltas:
+        p, r = float(delta).as_integer_ratio()
+        assert q.sufficient_copies(float(delta)) == 16 * r ** 4 // p ** 4 + 1
     with pytest.raises(q.ValidationError):
         q.sufficient_copies(0.0)
     with pytest.raises(q.ValidationError):
