@@ -177,6 +177,8 @@ def acceptance_operator(c: Circuit) -> np.ndarray:
 
 def optimal_witness(c: Circuit, degeneracy_tol: float = _DEGENERACY_TOL) -> OptimalWitness:
     """Input state maximizing acceptance; flagged when the maximum is degenerate."""
+    if not 0 <= degeneracy_tol < np.inf:
+        raise ValidationError(f"degeneracy_tol {degeneracy_tol} must be finite and >= 0")
     return _optimal_on(acceptance_operator(c), degeneracy_tol)
 
 

@@ -40,8 +40,8 @@ import numpy as np
 from .errors import ParseError, ResourceLimitError, ValidationError
 from .qcore import (
     DENSE_QUBIT_CAP, QUBIT_CAP, DensityMatrix, PureState, RegisterLayout,
-    _check_hermitian, _check_qubit_count, _content_lines, _entry_lines,
-    _parse_entry_lines, _parse_header, _qubit_bits, apply_local, fmt_float,
+    _check_hermitian, _check_qubit_count, _content_lines, _entry_lines, _parse_entry_lines,
+    _parse_header, _qubit_bits, _scatter_entries, apply_local, fmt_float,
 )
 from .circuit import Circuit, _conjugate_diagonal, circuit_unitary
 
@@ -163,19 +163,20 @@ class LocalHamiltonian:
     @functools.cached_property
     def fused(self) -> tuple:
         """The terms merged into a few (support, matrix) groups: matrix is
-        the weighted sum of the group's terms on the sorted union of their
-        supports, each term embedded by apply_local on the group's
-        identity, so H = sum of the embedded group matrices. Built once, on
-        first use; the Hamiltonian is immutable, so it never goes stale."""
+        the weighted sum of the group's terms, each scattered by
+        _scatter_entries onto the sorted union of their supports, so H = sum
+        of the embedded group matrices. Built once, on first use; the
+        Hamiltonian is immutable, so it never goes stale."""
         plan = []
         for support, members in _fusion_groups(self.terms):
             k = len(support)
-            eye = np.eye(2 ** k, dtype=complex)
-            total = 0
+            total = np.zeros((2 ** k, 2 ** k), dtype=complex)
             for j in members:
                 term = self.terms[j]
                 at = [support.index(q) for q in term.support]
-                total = total + apply_local(term.weight * term.matrix, at, k, eye)
+                rows, cols, vals = _scatter_entries(term.matrix, at, k)
+                # one term's (row, col) pairs never repeat, so this is exact
+                total[rows, cols] += term.weight * vals
             total.flags.writeable = False
             plan.append((support, total))
         return tuple(plan)
@@ -295,9 +296,12 @@ def _projection_leak(c: Circuit, accept_qubits) -> float:
     on how far the ground energy of compile_circuit(c, accept_qubits=...)
     at its default penalty J = L**12 lies below that of legal_hamiltonian
     (never above: legal states carry no clock energy). ||H1|| is bounded by
-    the summed in, out and prop weights, m + #accept + 3L/2. inf when
-    J <= 2 ||H1||, where the lemma gives no bound.
+    the summed in, out and prop weights, m + #accept + 3L/2. 0 at L = 1,
+    where every clock state is legal; inf when J <= 2 ||H1||, where the
+    lemma gives no bound.
     """
+    if c.length == 1:
+        return 0.0
     penalty = _default_penalty(c.length)
     h1 = c.n_ancilla + len(accept_qubits) + 1.5 * c.length
     return h1 ** 2 / (penalty - 2 * h1) if penalty > 2 * h1 else math.inf

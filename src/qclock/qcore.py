@@ -411,41 +411,38 @@ def _qubit_bits(n: int, q: int) -> np.ndarray:
     return (np.arange(2 ** n) >> (n - 1 - q)) & 1
 
 
-def _scatter_table(positions, n: int) -> np.ndarray:
-    """Map every k-bit value onto its n-bit index with bits at `positions`."""
-    k = len(positions)
-    idx = np.arange(2 ** k, dtype=np.int64)
-    out = np.zeros(2 ** k, dtype=np.int64)
-    for j, q in enumerate(positions):
-        out |= ((idx >> (k - 1 - j)) & 1) << (n - 1 - q)
-    return out
+def _support_first(support, n: int) -> list:
+    """Axis order of an n-qubit register with the support's qubits first, in
+    their given order, then the other qubits in ascending order: the one
+    layout in which a local matrix acts on the leading axes."""
+    return list(support) + [q for q in range(n) if q not in support]
 
 
 def _scatter_entries(matrix: np.ndarray, qubits, n: int):
     """Global (rows, cols, values) of a k-qubit matrix embedded on `qubits`.
 
-    Only the matrix's nonzero entries are kept, each repeated over the
-    2^(n-k) settings of the other qubits, so no (row, col) pair repeats.
+    Row i of arange(2^n) in apply_local's layout (_support_first) lists the
+    indices whose support bits read i. Only the matrix's nonzero entries are
+    kept, each repeated over the 2^(n-k) settings of the other qubits, so no
+    (row, col) pair repeats.
     """
-    rest = [q for q in range(n) if q not in qubits]
-    scat_sup = _scatter_table(qubits, n)
-    scat_rest = _scatter_table(rest, n)
+    k = len(qubits)
+    index = np.arange(2 ** n).reshape((2,) * n).transpose(_support_first(qubits, n))
+    index = index.reshape(2 ** k, -1)
     r, c = np.nonzero(matrix)
-    rows = (scat_sup[r][:, None] | scat_rest[None, :]).reshape(-1)
-    cols = (scat_sup[c][:, None] | scat_rest[None, :]).reshape(-1)
-    return rows, cols, np.repeat(matrix[r, c], scat_rest.size)
+    return (index[r].reshape(-1), index[c].reshape(-1),
+            np.repeat(matrix[r, c], index.shape[1]))
 
 
 def apply_local(matrix: np.ndarray, support, n: int, vec: np.ndarray) -> np.ndarray:
     """matrix (on the qubits in `support`, in that factor order) times vec.
 
     vec is a length-2^n vector or a 2^n x m block of columns; the result has
-    the same shape. Matrix-free: the qubit axes are permuted so that the
-    support leads, multiplied, and permuted back.
+    the same shape. Matrix-free: the qubit axes are permuted to
+    _support_first order, multiplied, and permuted back.
     """
     k = len(support)
-    rest = [q for q in range(n) if q not in support]
-    perm = list(support) + rest
+    perm = _support_first(support, n)
     cols = vec.shape[1:]
     col_axes = list(range(n, n + len(cols)))
     t = vec.reshape((2,) * n + cols).transpose(perm + col_axes).reshape(2 ** k, -1)

@@ -1,15 +1,16 @@
 """Assembly and diagonalization of local Hamiltonians.
 
-One scatter helper (qcore._scatter_entries) maps each term's nonzero
-entries to their global (row, col) indices; assemble sums them in term
-order into a plain read-only Hermitian array. The matvec used by the
-iterative eigensolver, the residual check and the energy helpers is
-matrix-free: it runs the few fused groups of LocalHamiltonian.fused (each
-the weighted sum of several terms on the union of their supports) through
-qcore.apply_local, so each product passes over the state once per group,
-not once per term. Its sums are ordered by group, so its results can
-differ from the assembled matrix's at rounding level. Dense handles up to
-12 qubits, matrix-free up to 16.
+Matrices built from terms are scattered, and products with a state are
+multiplied, in one register layout (qcore._support_first). The scatter
+helper qcore._scatter_entries maps each term's nonzero entries to their
+global (row, col) indices; assemble sums them in term order into a plain
+read-only Hermitian array. The matvec used by the iterative eigensolver,
+the residual check and the energy helpers is matrix-free: it runs the few
+fused groups of LocalHamiltonian.fused (each the weighted sum of several
+terms scattered onto the union of their supports) through apply_local,
+once per group, not once per term. Its sums are ordered by group, so its
+results can differ from the assembled matrix's at rounding level. Dense
+handles up to 12 qubits, matrix-free up to 16.
 
 The dense route of min_eigenvalue solves the full operator directly. It
 first builds H sparsely from the same scattered entries and splits its
@@ -141,6 +142,8 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
     dim = 2 ** n
     if k < 1:
         raise ValidationError(f"requested k={k} eigenvalues")
+    if not 0 < residual_target < np.inf:
+        raise ValidationError(f"residual_target {residual_target} must be finite and > 0")
     if method == "auto":
         method = "dense" if n <= DENSE_QUBIT_CAP else "iterative"
     elif method not in ("dense", "iterative"):

@@ -141,6 +141,8 @@ def ground_space_factor(mat: np.ndarray, degeneracy_tol: float = _DEGENERACY_TOL
     of every level counts those at or below lowest + degeneracy_tol, and one
     more subset solve asks for exactly that many. V holds the r ground vectors.
     """
+    if not 0 <= degeneracy_tol < np.inf:
+        raise ValidationError(f"degeneracy_tol {degeneracy_tol} must be finite and >= 0")
     evals, evecs = _eigh(mat, _GROUND_SUBSET)
     if evals[-1] - evals[0] <= degeneracy_tol and len(evals) < len(mat):
         # a tolerance below rounding (0, say) can count fewer; keep the first then

@@ -159,6 +159,11 @@ def test_witness_prints_the_projection_leak(tmp_path, capsys):
     cap = capsys.readouterr()
     assert f"within {16 / (4096 - 8):.3e} below" in cap.err
     assert "leak" not in cap.out and "within" not in cap.out
+    # one step: every clock state is legal, so nothing leaks
+    one_step = tmp_path / "one.qc"
+    one_step.write_text(CIRCUIT)
+    assert main(["witness", str(one_step)]) == 0
+    assert "within 0.000e+00 below" in capsys.readouterr().err
 
 
 # 9-qubit bench-size circuits: 3 inputs and L = 6 (perfect), 2 inputs, 1
@@ -515,6 +520,22 @@ def test_zheevd_nonconvergence_instance(tmp_path):
 def test_unknown_tolerance_name(ham_file, capsys):
     assert main(["spectrum", ham_file, "--tolerance", "wat=1"]) == 2
     assert "unknown tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "{h}", "--tolerance", "residual=-1"],
+     "residual_target -1.0 must be finite and > 0"),
+    (["spectrum", "{h}", "--tolerance", "residual=0"],
+     "residual_target 0.0 must be finite and > 0"),
+    (["witness", "{c}", "--tolerance", "degeneracy=-1"],
+     "degeneracy_tol -1.0 must be finite and >= 0"),
+], ids=["residual-negative", "residual-zero", "degeneracy-negative"])
+def test_bad_tolerance_values_exit_2(argv, message, circuit_file, ham_file, capsys):
+    argv = [a.format(c=circuit_file, h=ham_file) for a in argv]
+    assert main(argv) == 2
+    cap = capsys.readouterr()
+    assert message in cap.err
+    assert cap.out == ""
 
 
 def test_seed_changes_mc_output(capsys):

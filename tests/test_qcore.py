@@ -7,7 +7,9 @@ import scipy.linalg
 
 import qclock as q
 from qclock import qcore
-from qclock.qcore import _check_hermitian, _check_unitary, apply_local, fmt_float
+from qclock.qcore import (
+    _check_hermitian, _check_unitary, _scatter_entries, apply_local, fmt_float,
+)
 
 from conftest import (
     all_reject_circuit, assemble_oracle, failing_lapack, ground_projector_oracle,
@@ -236,20 +238,33 @@ def test_unitary_check():
 
 
 def test_embed_matrix_permutation():
+    # apply_local and the matrix rebuilt from _scatter_entries against a bit
+    # loop, on an unsorted support (descending gate targets and the
+    # pull-back's clock-first supports reach apply_local so) and a 3-qubit one
     rng = rng_for("embed")
     n = 4
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    got = apply_local(m, (1, 3), n, np.eye(16))
-    # oracle: outer product basis walk
-    oracle = np.zeros((16, 16), dtype=complex)
-    for i in range(16):
-        for j in range(16):
-            bi = [(i >> (n - 1 - b)) & 1 for b in range(n)]
-            bj = [(j >> (n - 1 - b)) & 1 for b in range(n)]
-            if bi[0] != bj[0] or bi[2] != bj[2]:
-                continue
-            oracle[i, j] = m[(bi[1] << 1) | bi[3], (bj[1] << 1) | bj[3]]
-    np.testing.assert_allclose(got, oracle, atol=1e-14)
+    for support in ((1, 3), (3, 1), (2, 0, 3)):
+        d = 2 ** len(support)
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m[rng.random((d, d)) < 0.3] = 0   # zero entries are not scattered
+        oracle = np.zeros((16, 16), dtype=complex)
+        for i in range(16):
+            for j in range(16):
+                bi = [(i >> (n - 1 - b)) & 1 for b in range(n)]
+                bj = [(j >> (n - 1 - b)) & 1 for b in range(n)]
+                if any(bi[b] != bj[b] for b in range(n) if b not in support):
+                    continue
+                r = c = 0
+                for b in support:
+                    r, c = (r << 1) | bi[b], (c << 1) | bj[b]
+                oracle[i, j] = m[r, c]
+        got = apply_local(m, support, n, np.eye(16))
+        np.testing.assert_allclose(got, oracle, atol=1e-14)
+        rows, cols, vals = _scatter_entries(m, support, n)
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
+        scattered = np.zeros((16, 16), dtype=complex)
+        scattered[rows, cols] = vals
+        assert np.array_equal(scattered, oracle)
 
 
 def test_operator_norm():

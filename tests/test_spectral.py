@@ -93,6 +93,22 @@ def test_fused_plan_invariants():
             assert matrix.shape == (2 ** len(support),) * 2
 
 
+def test_fused_groups_match_the_oracle_bitwise():
+    # each group matrix is the independent assembly of its member terms
+    # moved onto the group's k qubits, bit for bit
+    rng = rng_for("fused-oracle")
+    for h in fusion_instances(rng):
+        groups = clockham._fusion_groups(h.terms)
+        for (support, members), (fused_support, matrix) in zip(groups, h.fused):
+            assert fused_support == support
+            moved = tuple(
+                q.LocalTerm(t.part, t.weight, tuple(support.index(b) for b in t.support),
+                            t.matrix)
+                for t in (h.terms[j] for j in members))
+            want = assemble_oracle(q.LocalHamiltonian(len(support), moved))
+            assert np.array_equal(matrix, want)
+
+
 def test_fused_plan_keeps_wide_unions_apart():
     # disjoint 2-qubit terms: a group takes at most _FUSE_WIDTH // 2 of them
     per_group = clockham._FUSE_WIDTH // 2
@@ -293,6 +309,13 @@ def test_check_promise_classifies():
 
     verdict3, _ = q.check_promise(h2, q.PromiseGap(a=1e-6, b=0.9))
     assert verdict3 == "violated"
+
+
+def test_min_eigenvalue_rejects_bad_residual_targets():
+    h = random_povm_hamiltonian(rng_for("bad-residual"), 3, 4)
+    for bad in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(q.ValidationError, match=f"residual_target {bad} must be finite"):
+            q.min_eigenvalue(h, residual_target=bad)
 
 
 def test_promise_gap_validation():

@@ -143,6 +143,19 @@ def test_ground_space_factor_at_zero_tolerance():
         np.testing.assert_allclose(mat @ f, lowest * f, atol=1e-12)
 
 
+def test_bad_degeneracy_tolerances_are_rejected():
+    # a negative tolerance would leave an empty ground space; both consumers
+    # of degeneracy_tol refuse it, and a non-finite one, before any solve
+    mat = np.diag([0.0, 1.0]).astype(complex)
+    c = q.parse_circuit("n_input 1\nn_ancilla 0\naccept 0\ngate H 0\n")
+    for bad in (-1.0, -1e-300, np.inf, np.nan):
+        message = f"degeneracy_tol {bad} must be finite and >= 0"
+        with pytest.raises(q.ValidationError, match=message):
+            q.ground_space_factor(mat, bad)
+        with pytest.raises(q.ValidationError, match=message):
+            q.optimal_witness(c, bad)
+
+
 def test_gibbs_reports_use_eigenvalues_only(monkeypatch):
     # the one factorisation computes no eigenvectors, and its eigenvalues
     # match an independent dense solve within sqrt(2^n) eps total_weight

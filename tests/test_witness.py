@@ -369,10 +369,15 @@ def test_prepare_witness_reports_the_projection_leak():
     # two copies: 2 ancillas, 2 out-terms, L = 4, so ||H1|| <= 10
     res = q.prepare_witness(c, q.WitnessParams(k=2, seed=0), ground_source)
     assert res.leak == 100.0 / (4.0 ** 12 - 20.0)
-    # L = 1 gives J = 1 <= 2 ||H1||, where the lemma gives no bound
-    one_step = perfect_circuit(rng_for("prep-leak-one-step"), 1, 1)
-    res = q.prepare_witness(one_step, q.WitnessParams(k=1, seed=0), ground_source)
-    assert res.leak == float("inf")
+    # L = 1 has no clock terms and every clock state is legal, so nothing
+    # leaks: the compiled ground energy is the legal one
+    rng = rng_for("prep-leak-one-step")
+    for one_step in (perfect_circuit(rng, 1, 1), all_reject_circuit(rng, 1, 1)):
+        res = q.prepare_witness(one_step, q.WitnessParams(k=1, seed=0), ground_source)
+        assert res.leak == 0.0
+        legal = np.linalg.eigvalsh(legal_oracle(one_step, (one_step.accept_qubit,)))[0]
+        full = np.linalg.eigvalsh(assemble_oracle(q.compile_circuit(one_step)))[0]
+        assert abs(full - legal) < 1e-12
 
 
 def test_sufficient_copies_frozen_values():
