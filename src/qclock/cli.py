@@ -41,6 +41,12 @@ def _parse_tolerances(pairs):
                 f"unknown tolerance {name!r}; known: {', '.join(sorted(tol))}"
             )
         tol[name] = _finite(val, "tolerance value")
+    # the API's own checks, made once here so that every subcommand applies
+    # them, whether or not it reads the value
+    if not tol["residual"] > 0:
+        raise ValidationError(f"residual_target {tol['residual']} must be finite and > 0")
+    if not tol["degeneracy"] >= 0:
+        raise ValidationError(f"degeneracy_tol {tol['degeneracy']} must be finite and >= 0")
     return tol
 
 

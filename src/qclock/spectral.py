@@ -1,31 +1,28 @@
 """Assembly and diagonalization of local Hamiltonians.
 
 Matrices built from terms are scattered, and products with a state are
-multiplied, in one register layout (qcore._support_first). The scatter
-helper qcore._scatter_entries maps each term's nonzero entries to their
-global (row, col) indices; assemble sums them in term order into a plain
-read-only Hermitian array. The matvec used by the iterative eigensolver,
-the residual check and the energy helpers is matrix-free: it runs the few
-fused groups of LocalHamiltonian.fused (each the weighted sum of several
-terms scattered onto the union of their supports) through apply_local,
-once per group, not once per term. Its sums are ordered by group, so its
-results can differ from the assembled matrix's at rounding level. Dense
-handles up to 12 qubits, matrix-free up to 16.
+multiplied, in one register layout (qcore._support_first). Every dense
+matrix is built from one list: each term's weighted entries
+(qcore._scatter_entries), concatenated in term order. assemble sums it,
+repeated pairs in list order, into a plain read-only Hermitian array.
+matvec, used by Lanczos, its residual checks and the energy helpers, is
+matrix-free: it runs the few fused groups of LocalHamiltonian.fused through
+apply_local, once per group, not once per term. Its sums are ordered by
+group, so they can differ from the assembled matrix's at rounding level.
+Dense handles up to 12 qubits, matrix-free up to 16.
 
-The dense route of min_eigenvalue solves the full operator directly. It
-first builds H sparsely from the same scattered entries and splits its
-basis at the largest gap of the sorted diagonal. When a computed
-certificate shows that the upper part is a penalized block (a clock
-Hamiltonian's illegal clock states under their L**12 penalty), that block
-is eliminated exactly (_eliminated_levels): the levels come from the Schur
-complement on the low block, at the finite penalty, with no 2^n x 2^n
-array. Each complement is solved by qcore._eigh, which retries a zheevr
-failure once in the reversed basis; a second failure falls back to the
-route below. Otherwise it factors the assembled matrix with qcore._eigh, which
-solves each connected block of its nonzero pattern on its own: a clock
-Hamiltonian splits wherever a register qubit is only acted on diagonally
-(an all-reject circuit's accept ancilla) or the gates only permute basis
-states.
+The dense route of min_eigenvalue builds H sparsely from the list, built
+once, and splits its basis at the largest gap of the sorted diagonal. When
+a computed certificate shows that the upper part is a penalized block (a
+clock Hamiltonian's illegal clock states under their L**12 penalty), that
+block is eliminated exactly (_eliminated_levels): the levels come from the
+Schur complement on the low block, at the finite penalty, with no 2^n x 2^n
+array, each solved by qcore._eigh. Without a certificate, or when that
+solve fails, the list is summed as in assemble and factored by qcore._eigh,
+each connected block of its nonzero pattern on its own: a clock Hamiltonian
+splits wherever a register qubit is only acted on diagonally (an all-reject
+circuit's accept ancilla) or the gates only permute basis states. The
+ground pair's residual is taken on the matrix solved.
 """
 
 from __future__ import annotations
@@ -82,28 +79,27 @@ class SpectralReport(NamedTuple):
 
 def assemble(h: LocalHamiltonian) -> np.ndarray:
     """Dense Hermitian matrix of the weighted term sum, as a read-only array."""
-    n = h.num_qubits
-    _check_qubit_count(n, DENSE_QUBIT_CAP, "dense assembly")
-    total = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    positions = []
-    for rows, cols, vals in _weighted_entries(h):
-        # one term's (row, col) pairs never repeat, so fancy-index += is
-        # exact, and terms add in list order
-        total[rows, cols] += vals
-        positions.append((rows, cols))
-    # every entry off the terms' positions is zero, so checking those
-    # positions against their mirrors is the whole Hermitian check, in O(nnz)
-    for at in positions:
-        _check_hermitian(total, "assemble: weighted sum", at=at)
-    total.flags.writeable = False
-    return total
+    return _dense_sum(_weighted_entries(h), 2 ** h.num_qubits)
 
 
 def _weighted_entries(h: LocalHamiltonian):
-    """Each term's global (rows, cols, weight * values), in term order."""
+    """Global (rows, cols, weight * values) of all terms, in term order."""
+    _check_qubit_count(h.num_qubits, DENSE_QUBIT_CAP, "dense assembly")
+    parts = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex))]
     for term in h.terms:
         rows, cols, vals = _scatter_entries(term.matrix, term.support, h.num_qubits)
-        yield rows, cols, term.weight * vals
+        parts.append((rows, cols, term.weight * vals))
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _dense_sum(entries, dim: int) -> np.ndarray:
+    """The entries summed densely and read-only, repeated pairs in list order
+    (as COO adds them), Hermitian-checked at their positions (all else is 0)."""
+    rows, cols, vals = entries
+    total = scipy.sparse.coo_array((vals, (rows, cols)), shape=(dim, dim)).toarray()
+    _check_hermitian(total, "assemble: weighted sum", at=(rows, cols))
+    total.flags.writeable = False
+    return total
 
 
 def matvec(h: LocalHamiltonian, vec: np.ndarray) -> np.ndarray:
@@ -125,16 +121,17 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
 
     method: dense (exact, <= 12 qubits), iterative (matrix-free Lanczos,
     <= 16 qubits, deterministic seeded start vector), or auto. Dense is a
-    direct solve of the full operator: a penalized block certified by
-    _eliminated_levels (every illegal clock state at the default clock
-    penalty) is eliminated exactly, and the k levels come from its Schur
-    complement on the low block; without a certificate the assembled matrix
-    is factored with zheevr, block by block (qcore._eigh). Lanczos stops
-    once every Ritz pair's absolute residual is below about
-    2 * residual_target, and fails with ConvergenceError once it has spent
-    _LANCZOS_MATVECS products, or when a total weight past
-    residual_target / eps leaves a returned pair above that residual. The
-    returned ground pair is residual-checked against `residual_target`
+    direct solve of the full operator, from one entry list: a penalized
+    block certified by _eliminated_levels (every illegal clock state at the
+    default clock penalty) is eliminated exactly, and the k levels come from
+    its Schur complement on the low block; without a certificate the list
+    is summed as in assemble and factored with zheevr, block by block
+    (qcore._eigh). Lanczos stops once every Ritz pair's absolute residual
+    is below about 2 * residual_target, and fails with ConvergenceError
+    once it has spent _LANCZOS_MATVECS products, or when a total weight
+    past residual_target / eps leaves a returned pair above that residual.
+    The returned ground pair is residual-checked (on the matrix a dense
+    solve factored, through matvec after Lanczos) against residual_target
     relative to the operator scale max(1, total_weight): backward error
     grows with ||H||, and clock penalties push ||H|| to L^12.
     """
@@ -154,8 +151,13 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
         # ARPACK needs k < dim-1 and room for the Krylov basis
         method = "dense"
     if method == "dense":
-        found = _eliminated_levels(h, k)
-        evals, evecs = found if found is not None else _eigh(assemble(h), k)
+        entries = _weighted_entries(h)
+        found = _eliminated_levels(entries, dim, k)
+        if found is None:
+            solved = _dense_sum(entries, dim)
+            evals, evecs = _eigh(solved, k)
+        else:
+            solved, evals, evecs = found
     else:
         # Lanczos on sigma*I - H with which="LA": the ground state of H
         # becomes the dominant end of a PSD operator, which restarted
@@ -191,6 +193,9 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
             raise ConvergenceError(
                 f"Lanczos did not converge within {_LANCZOS_MATVECS} matvecs",
                 best_residual=best) from None
+        except scipy.sparse.linalg.ArpackError as exc:
+            # sigma*I - H is exactly 0 when H has no terms or sums to w*I
+            raise ConvergenceError(str(exc)) from None
         evals = sigma - evals
         order = np.argsort(evals)
         evals, evecs = evals[order], evecs[:, order]
@@ -205,9 +210,11 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
                     f"float64 products resolve only about {eps * sigma:.1e}",
                     best_residual=float(resid.min()))
 
-    ground = np.asarray(evecs[:, 0], dtype=complex)
-    ground = ground / np.linalg.norm(ground)
-    residual = float(np.linalg.norm(matvec(h, ground) - evals[0] * ground))
+    ground = evecs[:, 0] / np.linalg.norm(evecs[:, 0])
+    product = solved @ ground if method == "dense" else matvec(h, ground)
+    residual = float(np.linalg.norm(product - evals[0] * ground))
+    # freed first, so the report's copy of ground does not pin their heap space
+    solved = entries = found = None
     scale = max(1.0, h.total_weight)
     if residual > residual_target * scale:
         raise ConvergenceError(
@@ -225,11 +232,12 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
     )
 
 
-def _eliminated_levels(h: LocalHamiltonian, k: int):
-    """The k lowest eigenpairs of H with its penalized block eliminated
-    exactly, or None when the split below is not certified.
+def _eliminated_levels(entries, dim: int, k: int):
+    """(H, levels, vectors): the k lowest eigenpairs of H with its penalized
+    block eliminated exactly, or None when the split below is not certified.
 
-    H is built sparsely and its basis split at the largest gap of the sorted
+    H is built sparsely from the entries of _weighted_entries (the CSR
+    matrix returned) and its basis split at the largest gap of the sorted
     diagonal into a low block A and a penalized block B. The split is
     certified when the Gershgorin floor of B, min(H_ii - sum_{j in B, j != i}
     |H_ij|), lies above the Gershgorin ceiling of A, which bounds every
@@ -250,12 +258,7 @@ def _eliminated_levels(h: LocalHamiltonian, k: int):
     array is formed. S is solved by qcore._eigh, which retries zheevr once
     in the reversed basis; None is returned when that fails too.
     """
-    n = h.num_qubits
-    _check_qubit_count(n, DENSE_QUBIT_CAP, "dense assembly")
-    if not h.terms:
-        return None
-    dim = 2 ** n
-    rows, cols, vals = (np.concatenate(part) for part in zip(*_weighted_entries(h)))
+    rows, cols, vals = entries
     full = scipy.sparse.csr_array((vals, (rows, cols)), shape=(dim, dim))
     _check_hermitian(full, "assemble: weighted sum", at=(rows, cols))
     diag = full.diagonal().real
@@ -334,7 +337,7 @@ def _eliminated_levels(h: LocalHamiltonian, k: int):
         evecs[high, j] = -x
     evecs /= np.linalg.norm(evecs, axis=0)
     order = np.argsort(levels, kind="stable")
-    return levels[order], evecs[:, order]
+    return full, levels[order], evecs[:, order]
 
 
 def _pair_residuals(h: LocalHamiltonian, evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:

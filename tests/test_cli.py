@@ -498,6 +498,21 @@ def test_exit_code_dense_eigensolver_failure(monkeypatch, circuit_file,
         q.optimal_witness(q.parse_circuit(CIRCUIT))
 
 
+@pytest.mark.parametrize("num_qubits, terms, method", [
+    (4, (), "iterative"),
+    (4, (q.LocalTerm("in", 0.75, (2,), np.eye(2)),), "iterative"),
+    (13, (), "auto"),
+], ids=["termless", "identity-sum", "termless-past-the-dense-cap"])
+def test_zero_lanczos_operator_exits_4(num_qubits, terms, method, tmp_path, capsys):
+    # sigma*I - H is exactly 0: ARPACK's error is a convergence failure
+    ham = tmp_path / "z.ham"
+    ham.write_text(q.serialize_hamiltonian(q.LocalHamiltonian(num_qubits, terms)))
+    assert main(["spectrum", str(ham), "--method", method]) == 4
+    cap = capsys.readouterr()
+    assert cap.out == "" and "Traceback" not in cap.err
+    assert "convergence failure: ARPACK error -9" in cap.err
+
+
 def test_zheevd_nonconvergence_instance(tmp_path):
     # On this 9-qubit clock Hamiltonian, np.linalg.eigh (LAPACK zheevd)
     # raises "Eigenvalues did not converge" at one BLAS thread; at two
@@ -529,7 +544,21 @@ def test_unknown_tolerance_name(ham_file, capsys):
      "residual_target 0.0 must be finite and > 0"),
     (["witness", "{c}", "--tolerance", "degeneracy=-1"],
      "degeneracy_tol -1.0 must be finite and >= 0"),
-], ids=["residual-negative", "residual-zero", "degeneracy-negative"])
+    # subcommands that do not read the value check it too
+    (["gibbs", "{h}", "--temp", "0.1", "--tolerance", "degeneracy=-1"],
+     "degeneracy_tol -1.0 must be finite and >= 0"),
+    (["spectrum", "{h}", "--tolerance", "degeneracy=-1"],
+     "degeneracy_tol -1.0 must be finite and >= 0"),
+    (["gibbs", "{h}", "--temp", "0.1", "--tolerance", "residual=-1"],
+     "residual_target -1.0 must be finite and > 0"),
+    (["witness", "{c}", "--source", "gibbs:0.01", "--tolerance", "degeneracy=-1"],
+     "degeneracy_tol -1.0 must be finite and >= 0"),
+    (["witness", "{c}", "--source", "gibbs:0.01", "--tolerance", "residual=-1"],
+     "residual_target -1.0 must be finite and > 0"),
+], ids=["residual-negative", "residual-zero", "degeneracy-negative",
+        "gibbs-degeneracy-negative", "spectrum-degeneracy-negative",
+        "gibbs-residual-negative", "gibbs-source-degeneracy-negative",
+        "gibbs-source-residual-negative"])
 def test_bad_tolerance_values_exit_2(argv, message, circuit_file, ham_file, capsys):
     argv = [a.format(c=circuit_file, h=ham_file) for a in argv]
     assert main(argv) == 2

@@ -27,7 +27,8 @@ def test_assemble_bitwise_matches_oracle():
     # term-order accumulation: CLI output bytes depend on the last bits
     rng = rng_for("assemble-exact")
     c = random_circuit(rng, n_input=2, n_ancilla=1, length=4)
-    for h in (q.compile_circuit(c), random_povm_hamiltonian(rng, 5, 8)):
+    for h in (q.compile_circuit(c), random_povm_hamiltonian(rng, 5, 8),
+              q.LocalHamiltonian(3, ())):
         assert np.array_equal(q.assemble(h), assemble_oracle(h))
 
 
@@ -372,11 +373,15 @@ def eliminated_clock_layouts():
     return out
 
 
-def forbid_assembly(monkeypatch):
-    def forbidden(h):
-        raise AssertionError("assemble called on a certified clock layout")
+def eliminated(h, k):
+    return spectral._eliminated_levels(spectral._weighted_entries(h), 2 ** h.num_qubits, k)
 
-    monkeypatch.setattr(spectral, "assemble", forbidden)
+
+def forbid_assembly(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("dense sum built on a certified clock layout")
+
+    monkeypatch.setattr(spectral, "_dense_sum", forbidden)
 
 
 def test_dense_clock_solves_eliminate_the_penalized_block(monkeypatch):
@@ -425,13 +430,15 @@ def test_dense_route_without_a_certificate_factors_the_assembled_matrix(case, mo
             return eigh(mat, *args, **kwargs)
 
         monkeypatch.setattr(spectral, "_eigh", fail_reduced)
-    assert spectral._eliminated_levels(h, k) is None
+    assert eliminated(h, k) is None
     evals, evecs = qcore._eigh(q.assemble(h), k)
+    # the certificate and the fallback share one entry list
     calls = []
-    assemble = spectral.assemble
-    monkeypatch.setattr(spectral, "assemble", lambda h: calls.append(h) or assemble(h))
+    scatter = spectral._scatter_entries
+    monkeypatch.setattr(spectral, "_scatter_entries",
+                        lambda *args: calls.append(args) or scatter(*args))
     report = q.min_eigenvalue(h, k=k, method="dense")
-    assert len(calls) == 1
+    assert len(calls) == len(h.terms)
     assert report.spectrum == tuple(float(v) for v in evals)
     ground = q.PureState(h.num_qubits, evecs[:, 0] / np.linalg.norm(evecs[:, 0]))
     assert np.array_equal(report.ground_state.amplitudes, ground.amplitudes)
@@ -469,7 +476,7 @@ def test_dense_route_keeps_the_weighted_sum_hermitian_check():
     # the clock layout alone is certified; one term whose weight scales its
     # defect past 1e-12 makes the sum fail assemble's check, with its text
     h = q.compile_circuit(perfect_circuit(rng_for("eliminated-hermitian"), 2, 3))
-    assert spectral._eliminated_levels(h, 4) is not None
+    assert eliminated(h, 4) is not None
     lop = np.array([[0.0, 1e-12], [0.0, 0.0]])
     bad = q.LocalHamiltonian(h.layout, h.terms + (q.LocalTerm("prop_hopping", 10.0, (0,), lop),))
     with pytest.raises(q.ValidationError) as assembled:
@@ -478,3 +485,45 @@ def test_dense_route_keeps_the_weighted_sum_hermitian_check():
         q.min_eigenvalue(bad, k=4, method="dense")
     assert str(solved.value) == str(assembled.value)
     assert "not Hermitian within 1e-12" in str(solved.value)
+
+
+def dense_sub_route_instances():
+    """A certified clock layout at the default penalty, an uncertified
+    random local H and a termless one, each with whether it is certified."""
+    rng = rng_for("dense-sub-routes")
+    return [(q.compile_circuit(perfect_circuit(rng, 2, 3)), True),
+            (random_povm_hamiltonian(rng, 6, 12), False),
+            (q.LocalHamiltonian(3, ()), False)]
+
+
+def test_dense_solves_never_build_the_fused_groups():
+    # the dense residual is taken on the matrix solved, not through matvec
+    for h, certified in dense_sub_route_instances():
+        assert (eliminated(h, 4) is not None) == certified
+        q.min_eigenvalue(h, k=4, method="dense")
+        assert "fused" not in h.__dict__
+
+
+def test_dense_residual_is_taken_on_the_solved_matrix():
+    eps = np.finfo(float).eps
+    for h, _ in dense_sub_route_instances():
+        report = q.min_eigenvalue(h, k=4, method="dense")
+        g = report.ground_state.amplitudes
+        want = np.linalg.norm(assemble_oracle(h) @ g - report.min_eigenvalue * g)
+        atol = np.sqrt(2 ** h.num_qubits) * eps * max(1.0, h.total_weight)
+        assert abs(report.residual - want) <= atol
+    # the last instance, the termless H, is 0: zero levels and residual
+    assert report.spectrum == (0.0,) * 4 and report.residual == 0.0
+
+
+@pytest.mark.parametrize("num_qubits, terms, method", [
+    (4, (), "iterative"),
+    (4, (q.LocalTerm("in", 0.75, (2,), np.eye(2)),), "iterative"),
+    (13, (), "auto"),
+], ids=["termless", "identity-sum", "termless-past-the-dense-cap"])
+def test_a_zero_lanczos_operator_is_a_convergence_error(num_qubits, terms, method):
+    # sigma*I - H is exactly 0, so ARPACK finds its start vector zeroed;
+    # auto takes Lanczos past 12 qubits
+    h = q.LocalHamiltonian(num_qubits, terms)
+    with pytest.raises(q.ConvergenceError, match="ARPACK error -9: Starting vector is zero"):
+        q.min_eigenvalue(h, k=1, method=method)

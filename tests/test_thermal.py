@@ -335,7 +335,8 @@ def test_gibbs_reports_equal_gibbs_state_reports():
     # gibbs_state gives at each one alone
     rng = rng_for("gibbs-reports")
     c = random_circuit(rng, n_input=2, n_ancilla=1, length=3)
-    hams = (q.compile_circuit(c), random_povm_hamiltonian(rng, 4, 6))
+    hams = (q.compile_circuit(c), random_povm_hamiltonian(rng, 4, 6),
+            q.LocalHamiltonian(3, ()))
     for h in hams:
         temps = (0.003, 0.05, q.Temperature(0.7), 20.0)
         reports = q.gibbs_reports(h, temps)
@@ -344,6 +345,7 @@ def test_gibbs_reports_equal_gibbs_state_reports():
             _, want = q.gibbs_state(h, t)
             assert got == want
             assert type(got) is q.ThermalReport
+    assert all(r.mean_energy == 0 for r in reports)  # the termless H is 0
 
 
 def test_gibbs_reports_factor_once(monkeypatch):
