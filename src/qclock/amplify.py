@@ -35,6 +35,10 @@ class AmplifyParams:
     def __post_init__(self):
         if self.k < 1:
             raise ValidationError(f"k={self.k} must be >= 1")
+        if self.k > 2 ** 31 - 1:
+            # scipy.special.bdtr casts k to a C int, so a larger k is not exact
+            raise ValidationError(
+                f"k={self.k} above 2**31 - 1, the largest k the exact binomial tail takes")
         if not 0.0 < self.epsilon <= 1.0 / 3.0:
             raise ValidationError(f"epsilon {self.epsilon} outside (0, 1/3]")
 

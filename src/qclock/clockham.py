@@ -145,6 +145,9 @@ class LocalHamiltonian:
                 raise ValidationError(
                     f"term support {term.support} outside register of {n}"
                 )
+        # each term has norm <= 1, so a finite total bounds every entry of H
+        if not np.isfinite(self.total_weight):
+            raise ValidationError(f"total term weight {self.total_weight} is not finite")
 
     @property
     def num_qubits(self) -> int:

@@ -32,7 +32,6 @@ DENSE_QUBIT_CAP = 12    # dense matrices
 
 ATOL = 1e-12
 _HERMITIAN_BLOCK = 256   # rows per block of the Hermitian check
-_COMPONENT_CHUNK = 64    # frontier rows read per step of the component search
 _DEGENERACY_TOL = 1e-10  # default width of a degenerate extreme eigenspace
 _RESIDUAL_TARGET = 1e-8  # default ground-pair residual, relative to max(1, ||H||)
 
@@ -287,42 +286,16 @@ def operator_norm(a: np.ndarray) -> float:
 def _components(mat: np.ndarray) -> list:
     """Connected components of mat's nonzero pattern, with an edge i-j
     wherever mat[i, j] or mat[j, i] is nonzero, as ascending index arrays in
-    the order of their smallest index.
-
-    A breadth-first search from each unlabelled index reads only rows, up
-    to _COMPONENT_CHUNK of them at a time, and never copies the whole
-    matrix. A row that reaches an earlier component (an edge stored on one
-    side only) merges it into the current one, so each row is read once
-    and every edge is seen from one of its ends. The search stops as soon
-    as every index is labelled and one component is left: a matrix with a
-    dense first row costs one row.
+    the order of their smallest index: scipy's weakly connected components
+    of the pattern. A first row with no zero entry joins every index to
+    index 0, so a dense matrix costs one row, not a scan of its pattern.
     """
     n = len(mat)
-    label = np.full(n, -1)
-    seen = live = 0
-    while seen < n:
-        # a component is labelled by its smallest index, its first start
-        c = start = int(np.argmax(label < 0))
-        label[start] = c
-        seen, live = seen + 1, live + 1
-        frontier = np.array([start])
-        while frontier.size and (seen < n or live > 1):
-            found = []
-            for i in range(0, frontier.size, _COMPONENT_CHUNK):
-                hit = mat[frontier[i:i + _COMPONENT_CHUNK]].any(axis=0)
-                reached = label[hit]
-                earlier = np.unique(reached[(reached >= 0) & (reached != c)])
-                if earlier.size:
-                    merged = np.append(earlier, c)
-                    c = merged.min()
-                    label[np.isin(label, merged)] = c
-                    live -= earlier.size
-                new = np.flatnonzero(hit & (label < 0))
-                label[new] = c
-                seen += new.size
-                found.append(new)
-            frontier = np.concatenate(found)
-    label = np.unique(label, return_inverse=True)[1]
+    if n and mat[0].all():
+        return [np.arange(n)]
+    # loaded here, so importing qclock does not import scipy's graph module
+    from scipy.sparse import csgraph, csr_array
+    label = csgraph.connected_components(csr_array(mat != 0), connection="weak")[1]
     order = np.argsort(label, kind="stable")
     return np.split(order, np.cumsum(np.bincount(label))[:-1])
 
@@ -364,18 +337,19 @@ def _eigh(mat: np.ndarray, k: int | None = None, vectors: bool = True):
     second failure is a ConvergenceError.
 
     The matrix is split into the connected components of its nonzero
-    pattern (_components). A single component goes to LAPACK as it is,
-    uncopied and never overwritten. Otherwise each principal block is
-    solved on its own (the lowest min(k, size) of each), and the results
-    are merged: sorted stably by value, ties in block order, and cut to
-    the lowest k. A finite 1 x 1 block skips LAPACK: its eigenpair is its
-    diagonal entry and a unit vector, exactly as zheevr gives it.
-    Eigenvectors are scattered into zero-padded columns. The split is
-    exact, as the entries between blocks are exact zeros, but the
-    per-block solves round differently from one solve of the whole matrix.
-    Clock Hamiltonians split wherever a register qubit is only acted on
-    diagonally (an all-reject circuit's accept ancilla) and wherever the
-    gates permute basis states.
+    pattern (_components: scipy's weakly connected components, or one
+    block at once when the first row has no zero). A single component goes
+    to LAPACK as it is, uncopied and never overwritten. Otherwise each
+    principal block is solved on its own (the lowest min(k, size) of
+    each), and the results are merged: sorted stably by value, ties in
+    block order, and cut to the lowest k. A finite 1 x 1 block skips
+    LAPACK: its eigenpair is its diagonal entry and a unit vector, exactly
+    as zheevr gives it. Eigenvectors are scattered into zero-padded
+    columns. The split is exact, as the entries between blocks are exact
+    zeros, but the per-block solves round differently from one solve of
+    the whole matrix. Clock Hamiltonians split wherever a register qubit
+    is only acted on diagonally (an all-reject circuit's accept ancilla)
+    and wherever the gates permute basis states.
     """
     blocks = _components(mat)
     if len(blocks) == 1:

@@ -79,7 +79,10 @@ class SpectralReport(NamedTuple):
 
 def assemble(h: LocalHamiltonian) -> np.ndarray:
     """Dense Hermitian matrix of the weighted term sum, as a read-only array."""
-    return _dense_sum(_weighted_entries(h), 2 ** h.num_qubits)
+    entries = _weighted_entries(h)
+    total = _dense_sum(entries, 2 ** h.num_qubits)
+    _check_hermitian(total, "assemble: weighted sum", at=entries[:2])
+    return total
 
 
 def _weighted_entries(h: LocalHamiltonian):
@@ -94,10 +97,9 @@ def _weighted_entries(h: LocalHamiltonian):
 
 def _dense_sum(entries, dim: int) -> np.ndarray:
     """The entries summed densely and read-only, repeated pairs in list order
-    (as COO adds them), Hermitian-checked at their positions (all else is 0)."""
+    (as COO adds them). The caller checks the sum is Hermitian."""
     rows, cols, vals = entries
     total = scipy.sparse.coo_array((vals, (rows, cols)), shape=(dim, dim)).toarray()
-    _check_hermitian(total, "assemble: weighted sum", at=(rows, cols))
     total.flags.writeable = False
     return total
 
@@ -260,7 +262,11 @@ def _eliminated_levels(entries, dim: int, k: int):
     """
     rows, cols, vals = entries
     full = scipy.sparse.csr_array((vals, (rows, cols)), shape=(dim, dim))
+    # the one Hermitian check of a dense solve: the fallback sums these
+    # same entries unchecked
     _check_hermitian(full, "assemble: weighted sum", at=(rows, cols))
+    if dim < 2:
+        return None
     diag = full.diagonal().real
     order = np.argsort(diag, kind="stable")
     cut = int(np.argmax(np.diff(diag[order]))) + 1

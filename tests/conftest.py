@@ -218,6 +218,26 @@ def ground_projector_oracle(mat: np.ndarray, tol: float) -> np.ndarray:
     return v @ v.conj().T
 
 
+def components_oracle(mat: np.ndarray) -> list:
+    """Connected components of mat's nonzero pattern, an edge i-j wherever
+    mat[i, j] or mat[j, i] is nonzero, by union-find over every nonzero
+    entry: sorted index lists, in the order of their smallest index."""
+    parent = list(range(len(mat)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in zip(*np.nonzero(mat)):
+        a, b = root(int(i)), root(int(j))
+        parent[max(a, b)] = min(a, b)
+    blocks = {}
+    for i in range(len(mat)):
+        blocks.setdefault(root(i), []).append(i)
+    return [blocks[r] for r in sorted(blocks)]
+
+
 def lapack_inputs(monkeypatch) -> list:
     """Every matrix that scipy.linalg.eigh receives from now on."""
     seen = []

@@ -310,6 +310,18 @@ def test_amplify_at_a_billion_copies(capsys):
     assert row[:6] == ["1000000000", "0.25", "744376587", "0", "0", "0"]
 
 
+def test_amplify_refuses_k_past_a_c_int(capsys):
+    # the exact tail reads k as a C int: the largest one still gives a
+    # finite row, and a larger one is refused rather than printed as nan
+    assert main(["amplify", "--k", "2147483647", "--eps", "0.25"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[:6] == ["2147483647", "0.25", "1600636943", "0", "0", "0"]
+    for k in ("2147483648", "100000000000000000000"):
+        assert main(["amplify", "--k", k, "--eps", "0.25"]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == "" and f"k={k} above 2**31 - 1" in cap.err
+
+
 def test_amplify_sweep_grammar(capsys):
     assert main(["amplify", "--sweep", "k=16,81;eps=0.25"]) == 0
     rows = capsys.readouterr().out.strip().split("\n")
@@ -443,6 +455,34 @@ def test_exit_code_term_support_outside_register(tmp_path, capsys):
         for argv in (["spectrum", str(bad)], ["gibbs", str(bad), "--temp", "1"]):
             assert main(argv) == 2
             assert want in capsys.readouterr().err
+
+
+def test_exit_code_infinite_total_weight(tmp_path, capsys):
+    # every weight is finite, but their sum overflows float64: compile
+    # writes no file, and a file holding such terms is refused on reading
+    three_step = tmp_path / "three.qc"
+    three_step.write_text(CIRCUIT + "gate H 0\ngate H 0\n")
+    out = tmp_path / "big.ham"
+    assert main(["compile", str(three_step), "--clock-penalty", "1e308",
+                 "--out", str(out)]) == 2
+    assert "total term weight inf is not finite" in capsys.readouterr().err
+    assert not out.exists()
+    term = "term in 1e308 1 0\n1 0\n0 0\n0 0\n0 0\n"
+    bad = tmp_path / "bad.ham"
+    bad.write_text("qubits 1\nlayout 1 0 0\n" + 2 * term)
+    for argv in (["spectrum", str(bad)], ["gibbs", str(bad), "--temp", "1"]):
+        assert main(argv) == 2
+        cap = capsys.readouterr()
+        assert cap.out == "" and "total term weight inf is not finite" in cap.err
+
+
+def test_spectrum_of_an_empty_register(tmp_path, capsys):
+    # 0 qubits: one basis state, whose level is 0
+    ham = tmp_path / "empty.ham"
+    ham.write_text("qubits 0\nlayout 0 0 0\n")
+    assert main(["spectrum", str(ham)]) == 0
+    assert capsys.readouterr().out == (
+        "lambda_min 0\nspectrum 0\nmethod dense\nresidual 0\nseed 0\n")
 
 
 def test_exit_code_negative_layout(tmp_path, capsys):

@@ -12,9 +12,9 @@ from qclock.qcore import (
 )
 
 from conftest import (
-    all_reject_circuit, assemble_oracle, failing_lapack, ground_projector_oracle,
-    lapack_inputs, partial_trace_oracle, random_density_matrix, random_povm_hamiltonian,
-    random_pure_state, rng_for,
+    all_reject_circuit, assemble_oracle, components_oracle, failing_lapack,
+    ground_projector_oracle, lapack_inputs, partial_trace_oracle, random_density_matrix,
+    random_povm_hamiltonian, random_pure_state, rng_for,
 )
 
 
@@ -294,26 +294,40 @@ BLOCK_LEVELS = ([3.0], [-1.0, 0.5, 2.0], [-1.0, *np.linspace(0.75, 2.5, 7)],
                 np.linspace(1.0, 4.0, 20))
 
 
-def test_components_match_a_graph_oracle(monkeypatch):
-    # seeded sparse patterns, some with edges stored on one side only,
-    # against scipy's weakly connected components; chunks of one row
-    # make a row reach an earlier component and merge it
-    from scipy.sparse.csgraph import connected_components
+def component_patterns():
+    """100 seeded sparse patterns, some with edges stored on one side only;
+    then a first row with no zero, which joins everything; the same with
+    one zero, which leaves index 4 alone; and that one joined back through
+    an edge stored below the diagonal only."""
     rng = rng_for("components")
-    for chunk in (1, 64):
-        monkeypatch.setattr(qcore, "_COMPONENT_CHUNK", chunk)
-        for _ in range(100):
-            n = int(rng.integers(1, 40))
-            mat = (rng.random((n, n)) < rng.choice([0.02, 0.05, 0.2])) * (1.0 - 2.0j)
-            if rng.random() < 0.5:
-                mat = mat + mat.T
-            comps = qcore._components(mat)
-            count, label = connected_components(mat != 0, connection="weak")
-            assert len(comps) == count
-            assert [c[0] for c in comps] == sorted(c[0] for c in comps)
-            np.testing.assert_array_equal(np.sort(np.concatenate(comps)), np.arange(n))
-            for c in comps:
-                assert np.all(np.diff(c) > 0) and np.unique(label[c]).size == 1
+    for _ in range(100):
+        n = int(rng.integers(1, 40))
+        mat = (rng.random((n, n)) < rng.choice([0.02, 0.05, 0.2])) * (1.0 - 2.0j)
+        if rng.random() < 0.5:
+            mat = mat + mat.T
+        yield mat
+    mat = np.zeros((6, 6), dtype=complex)
+    mat[0] = 1.0
+    yield mat.copy()
+    mat[0, 4] = 0.0
+    yield mat.copy()
+    mat[4, 2] = 1e-300
+    yield mat
+
+
+def test_components_match_a_graph_oracle():
+    counts = []
+    for mat in component_patterns():
+        comps = qcore._components(mat)
+        want = components_oracle(mat)
+        counts.append(len(comps))
+        assert len(comps) == len(want)
+        assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+        np.testing.assert_array_equal(np.sort(np.concatenate(comps)), np.arange(len(mat)))
+        for c, w in zip(comps, want):
+            assert np.all(np.diff(c) > 0)
+            np.testing.assert_array_equal(c, w)
+    assert counts[-3:] == [1, 2, 1]
 
 
 def test_eigh_by_blocks_matches_the_whole_matrix():

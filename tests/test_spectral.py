@@ -506,14 +506,37 @@ def test_dense_solves_never_build_the_fused_groups():
 
 def test_dense_residual_is_taken_on_the_solved_matrix():
     eps = np.finfo(float).eps
-    for h, _ in dense_sub_route_instances():
+    # and an empty register, whose one level no split can hold
+    empty = q.LocalHamiltonian(0, ())
+    for h in [h for h, _ in dense_sub_route_instances()] + [empty]:
         report = q.min_eigenvalue(h, k=4, method="dense")
         g = report.ground_state.amplitudes
         want = np.linalg.norm(assemble_oracle(h) @ g - report.min_eigenvalue * g)
         atol = np.sqrt(2 ** h.num_qubits) * eps * max(1.0, h.total_weight)
         assert abs(report.residual - want) <= atol
-    # the last instance, the termless H, is 0: zero levels and residual
-    assert report.spectrum == (0.0,) * 4 and report.residual == 0.0
+        if not h.terms:
+            # H is 0: zero levels and residual, as many as the space holds
+            assert report.spectrum == (0.0,) * min(4, 2 ** h.num_qubits)
+            assert report.residual == 0.0
+
+
+def test_a_dense_solve_checks_the_weighted_sum_once(monkeypatch):
+    # the eliminated route checks its CSR H at the terms' positions; the
+    # fallback sums the same entries and relies on that check
+    calls = []
+    check = spectral._check_hermitian
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_check_hermitian", counted)
+    for h, _ in dense_sub_route_instances():
+        for solve in (lambda: q.min_eigenvalue(h, k=4, method="dense"),
+                      lambda: q.assemble(h)):
+            calls.clear()
+            solve()
+            assert calls == ["assemble: weighted sum"]
 
 
 @pytest.mark.parametrize("num_qubits, terms, method", [
