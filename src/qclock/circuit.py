@@ -21,6 +21,12 @@ from .qcore import (
     _parse_entry_lines, _qubit_bits, apply_local, expectation, fmt_float,
 )
 
+__all__ = [
+    "NAMED_GATES", "Gate", "Circuit", "OptimalWitness", "circuit_unitary",
+    "apply_gates", "accept_probability", "acceptance_operator",
+    "optimal_witness", "parse_circuit", "serialize_circuit",
+]
+
 _SQ2 = 1.0 / np.sqrt(2.0)
 
 # spec'd named gate set; S = diag(1, i), T = diag(1, e^{i pi/4})
@@ -191,13 +197,6 @@ def _optimal_on(m: np.ndarray, degeneracy_tol: float = _DEGENERACY_TOL) -> Optim
     vec = vec / np.linalg.norm(vec)
     return OptimalWitness(PureState(len(m).bit_length() - 1, vec),
                           float(np.clip(top, 0.0, 1.0)), bool(degenerate))
-
-
-def concatenate(c1: Circuit, c2: Circuit) -> Circuit:
-    """Run c1 then c2 on the same register; keeps c2's accept qubit and epsilon."""
-    if c1.layout != c2.layout:
-        raise ValidationError("concatenate: layouts differ")
-    return Circuit(c1.layout, c1.gates + c2.gates, c2.accept_qubit, c2.epsilon)
 
 
 # --- circuit text format ----------------------------------------------------

@@ -71,8 +71,16 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
+
+
+def _write(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
 def _floats(text: str):
@@ -289,6 +297,10 @@ def main(argv=None) -> int:
     try:
         tol = _parse_tolerances(args.tolerance)
         text = args.func(args, tol)
+        if args.out:
+            _write(args.out, text)
+        else:
+            sys.stdout.write(text)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -301,11 +313,6 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 5
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -5,6 +5,11 @@ parse problems are distinct from resource caps, solver non-convergence,
 and numerical consistency failures.
 """
 
+__all__ = [
+    "QclockError", "ValidationError", "ParseError", "ResourceLimitError",
+    "ConvergenceError", "ConsistencyError",
+]
+
 
 class QclockError(Exception):
     pass

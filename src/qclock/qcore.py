@@ -15,7 +15,6 @@ than letting an allocation swap the machine.
 from __future__ import annotations
 
 import functools
-import hashlib
 import zlib
 from dataclasses import dataclass, field
 
@@ -37,10 +36,8 @@ _RESIDUAL_TARGET = 1e-8  # default ground-pair residual, relative to max(1, ||H|
 
 __all__ = [
     "QUBIT_CAP", "DENSE_QUBIT_CAP", "PureState", "DensityMatrix", "RegisterLayout",
-    "tensor_product", "partial_trace", "expectation",
-    "operator_norm", "apply_local", "named_stream",
-    "fmt_float", "read_state", "write_state", "read_matrix", "write_matrix",
-    "state_digest",
+    "tensor_product", "partial_trace", "expectation", "named_stream",
+    "read_matrix", "write_matrix",
 ]
 
 
@@ -213,16 +210,8 @@ class RegisterLayout:
         return self.n_input + self.n_ancilla + self.n_clock
 
     @property
-    def input_qubits(self) -> range:
-        return range(self.n_input)
-
-    @property
     def ancilla_qubits(self) -> range:
         return range(self.n_input, self.n_input + self.n_ancilla)
-
-    @property
-    def clock_qubits(self) -> range:
-        return range(self.n_input + self.n_ancilla, self.total)
 
     def clock_qubit(self, t: int) -> int:
         # clock step t in 1..n_clock sits at block offset t-1
@@ -276,11 +265,6 @@ def expectation(rho: DensityMatrix, a: np.ndarray) -> float:
     if abs(val.imag) > 1e-8:
         raise ConsistencyError(f"expectation: imaginary residue {val.imag:.3e} above 1e-8")
     return float(val.real)
-
-
-def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value of a matrix."""
-    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def _components(mat: np.ndarray) -> list:
@@ -435,17 +419,10 @@ def named_stream(seed: int, name: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def state_digest(array) -> str:
-    """Short stable checksum of a complex array, PureState or DensityMatrix."""
-    array = getattr(array, "amplitudes", getattr(array, "entries", array))
-    data = np.ascontiguousarray(np.asarray(array, dtype=complex))
-    return hashlib.sha256(data.tobytes()).hexdigest()[:16]
-
-
 # --- text format -----------------------------------------------------------
 #
-# First line `qubits N`, then one entry per line as `re im`, row-major.
-# 2**N lines = state vector, 4**N lines = matrix.
+# First line `qubits N`, then the 4**N matrix entries, one per line as
+# `re im`, row-major.
 
 def fmt_float(x: float) -> str:
     # 17 significant digits round-trips any float64
@@ -454,11 +431,6 @@ def fmt_float(x: float) -> str:
 
 def _entry_lines(flat: np.ndarray):
     return [f"{fmt_float(z.real)} {fmt_float(z.imag)}" for z in flat]
-
-
-def write_state(state: PureState) -> str:
-    lines = [f"qubits {state.num_qubits}"] + _entry_lines(state.amplitudes)
-    return "\n".join(lines) + "\n"
 
 
 def write_matrix(num_qubits: int, entries: np.ndarray) -> str:
@@ -506,16 +478,6 @@ def _parse_header(lines):
     if n < 0:
         raise ParseError(f"negative qubit count {n}", line=lineno)
     return n
-
-
-def read_state(text: str) -> PureState:
-    lines = _content_lines(text)
-    n = _parse_header(lines)
-    vals = _parse_entry_lines(lines[1:], lines[0][0], 2 ** n)
-    if len(lines) - 1 != 2 ** n:
-        raise ParseError(f"expected {2 ** n} amplitudes, found {len(lines) - 1}",
-                         line=lines[-1][0])
-    return PureState(n, vals)
 
 
 def read_matrix(text: str):

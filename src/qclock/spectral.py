@@ -27,7 +27,6 @@ ground pair's residual is taken on the matrix solved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -50,22 +49,9 @@ _JACOBI_SWEEPS = 40
 _SCHUR_TRIALS = 3
 
 __all__ = [
-    "PromiseGap", "SpectralReport", "assemble", "matvec",
-    "min_eigenvalue", "propagation_spectrum", "check_promise",
-    "serialize_report",
+    "SpectralReport", "assemble", "matvec", "min_eigenvalue",
+    "propagation_spectrum", "serialize_report",
 ]
-
-
-@dataclass(frozen=True)
-class PromiseGap:
-    """Spectral promise: witness side lambda <= a, no-witness side >= b."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not self.a < self.b:
-            raise ValidationError(f"promise needs a < b, got a={self.a}, b={self.b}")
 
 
 class SpectralReport(NamedTuple):
@@ -357,22 +343,6 @@ def propagation_spectrum(length: int) -> np.ndarray:
         raise ValidationError(f"circuit length {length} must be >= 1")
     k = np.arange(length + 1)
     return 1.0 - np.cos(np.pi * k / (length + 1))
-
-
-def check_promise(h: LocalHamiltonian, gap: PromiseGap, **solver_kwargs):
-    """Verdict on which side of the promise the ground energy falls.
-
-    Returns (verdict, report) with verdict in {low, high, violated}.
-    """
-    report = min_eigenvalue(h, **solver_kwargs)
-    lam = report.min_eigenvalue
-    if lam <= gap.a:
-        verdict = "low"
-    elif lam >= gap.b:
-        verdict = "high"
-    else:
-        verdict = "violated"
-    return verdict, report
 
 
 def serialize_report(report: SpectralReport) -> str:

@@ -42,7 +42,7 @@ __all__ = [
     "Temperature", "ThermalReport", "EnergyBound", "DecisionTemperature",
     "gibbs_factor", "gibbs_state", "gibbs_reports",
     "ground_projector_state", "ground_space_factor", "mean_energy_bound",
-    "cooling_temperature", "decision_temperature", "gibbs_decide",
+    "decision_temperature", "gibbs_decide",
 ]
 
 
@@ -173,15 +173,6 @@ def mean_energy_bound(a: float, d: float, n: int, e_max: float, t) -> EnergyBoun
     exponent = n * _LN2 - 0.5 * (d - a) / temp.value
     rhs = cutoff + math.exp(exponent) * e_max if exponent < 700 else math.inf
     return EnergyBound(float(rhs), float(cutoff))
-
-
-def cooling_temperature(n: int, q: float) -> Temperature:
-    """Temperature with Gibbs mean below 1/q of the promise scale: 1/(2 n q ln 2)."""
-    if n < 1:
-        raise ValidationError(f"qubit count n={n} must be >= 1")
-    if not q > 0:
-        raise ValidationError(f"polynomial value q={q} must be > 0")
-    return Temperature(1.0 / (2.0 * n * q * _LN2))
 
 
 def _decision_energy(length: int) -> float:

@@ -6,6 +6,7 @@ internals (explicit kron loops, direct matrix exponentials, brute-force
 binomial sums) so agreement is evidence, not tautology.
 """
 
+import hashlib
 import os
 import zlib
 from pathlib import Path
@@ -236,6 +237,13 @@ def components_oracle(mat: np.ndarray) -> list:
     for i in range(len(mat)):
         blocks.setdefault(root(i), []).append(i)
     return [blocks[r] for r in sorted(blocks)]
+
+
+def digest(array) -> str:
+    """First 16 hex digits of the sha256 of an array's contiguous complex128
+    bytes: a pin on its exact bits."""
+    data = np.ascontiguousarray(np.asarray(array, dtype=complex))
+    return hashlib.sha256(data.tobytes()).hexdigest()[:16]
 
 
 def lapack_inputs(monkeypatch) -> list:

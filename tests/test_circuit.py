@@ -168,18 +168,6 @@ def test_optimal_witness_perfect_when_no_ancilla():
         assert q.optimal_witness(c).probability > 1 - 1e-12
 
 
-def test_concatenate():
-    c1 = bell_circuit()
-    c2 = q.Circuit(q.RegisterLayout(2, 0), (q.Gate("Z", (0,)),), 1)
-    seq = q.concatenate(c1, c2)
-    assert seq.length == 3
-    u = q.circuit_unitary(seq)
-    want = q.circuit_unitary(c2) @ q.circuit_unitary(c1)
-    np.testing.assert_allclose(u, want, atol=1e-14)
-    with pytest.raises(q.ValidationError):
-        q.concatenate(c1, q.Circuit(q.RegisterLayout(1, 0), (q.Gate("X", (0,)),), 0))
-
-
 def test_serialize_parse_round_trip_named_and_explicit():
     rng = rng_for("circuit-io")
     mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))

@@ -506,6 +506,23 @@ def test_exit_code_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_exit_code_undecodable_file(tmp_path, capsys):
+    binary = tmp_path / "bin.qc"
+    binary.write_bytes(b"n_input 1\n\xff\xfe\n")
+    assert main(["compile", str(binary)]) == 2
+    assert f"error: cannot read {binary}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["missing/c.ham", "."])
+def test_exit_code_unwritable_out(target, tmp_path, circuit_file, capsys):
+    # a missing directory, then a path that is a directory
+    out = tmp_path / target
+    assert main(["compile", circuit_file, "--out", str(out)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert f"error: cannot write {out}: " in cap.err
+
+
 def test_exit_code_resource_limit(tmp_path, capsys):
     big = tmp_path / "big.qc"
     big.write_text("n_input 12\nn_ancilla 4\naccept 0\ngate H 0\n")

@@ -12,7 +12,7 @@ from qclock.qcore import (
 )
 
 from conftest import (
-    all_reject_circuit, assemble_oracle, components_oracle, failing_lapack,
+    all_reject_circuit, assemble_oracle, components_oracle, digest, failing_lapack,
     ground_projector_oracle, lapack_inputs, partial_trace_oracle, random_density_matrix,
     random_povm_hamiltonian, random_pure_state, rng_for,
 )
@@ -156,9 +156,7 @@ def test_qubit_caps_enforced():
 def test_register_layout():
     lay = q.RegisterLayout(2, 1, 3)
     assert lay.total == 6
-    assert list(lay.input_qubits) == [0, 1]
     assert list(lay.ancilla_qubits) == [2]
-    assert list(lay.clock_qubits) == [3, 4, 5]
     # clock step t lives on qubit n+m+t-1
     assert lay.clock_qubit(1) == 3
     assert lay.clock_qubit(3) == 5
@@ -265,11 +263,6 @@ def test_embed_matrix_permutation():
         scattered = np.zeros((16, 16), dtype=complex)
         scattered[rows, cols] = vals
         assert np.array_equal(scattered, oracle)
-
-
-def test_operator_norm():
-    h = np.array([[0.0, 2.0], [2.0, 0.0]])
-    assert abs(q.operator_norm(h.astype(complex)) - 2.0) < 1e-12
 
 
 def _hidden_blocks(rng, levels) -> np.ndarray:
@@ -381,7 +374,7 @@ def test_singleton_blocks_skip_lapack(monkeypatch):
     p = rng.integers(1, 5, size=256).astype(float)
     rho = q.DensityMatrix(8, np.diag(p / p.sum()))
     assert seen == []
-    assert q.state_digest(rho.factor) == "448f0f3dbe5667e1"
+    assert digest(rho.factor) == "448f0f3dbe5667e1"
     # beside larger blocks, the singleton level 3.0 merges into place
     h = _hidden_blocks(rng_for("eigh-blocks"), BLOCK_LEVELS)
     full = np.linalg.eigvalsh(h)
@@ -466,26 +459,10 @@ def test_named_stream_determinism_and_separation():
     assert not np.allclose(a1, c)
 
 
-def test_state_digest_stable():
-    s = q.PureState(1, np.array([1.0, 0.0], dtype=complex))
-    d1 = q.state_digest(s)
-    d2 = q.state_digest(q.PureState(1, np.array([1.0, 0.0], dtype=complex)))
-    assert d1 == d2 and len(d1) == 16
-
-
 def test_fmt_float_round_trip():
     vals = [0.1, 1 / 3, 2 ** -52, 1e300, -0.0, 3.141592653589793]
     for v in vals:
         assert float(fmt_float(v)) == v
-
-
-def test_state_file_round_trip(tmp_path):
-    rng = rng_for("state-io")
-    s = random_pure_state(rng, 3)
-    text = q.write_state(s)
-    back = q.read_state(text)
-    np.testing.assert_array_equal(back.amplitudes, s.amplitudes)
-    assert q.write_state(back) == text  # byte-stable second pass
 
 
 def test_matrix_file_round_trip():
@@ -498,20 +475,18 @@ def test_matrix_file_round_trip():
 
 
 def test_read_state_reports_line_numbers():
-    bad = "qubits 1\n1 0\nnot-a-number 0\n"
+    bad = "qubits 1\n1 0\nnot-a-number 0\n0 0\n1 0\n"
     with pytest.raises(q.ParseError) as exc:
-        q.read_state(bad)
+        q.read_matrix(bad)
     assert "line 3" in str(exc.value)
 
 
 def test_read_state_rejects_wrong_count():
-    with pytest.raises(q.ParseError):
-        q.read_state("qubits 2\n1 0\n0 0\n")  # 2 of 4 rows
+    with pytest.raises(q.ParseError, match="expected 4 matrix entries, found 2"):
+        q.read_matrix("qubits 1\n1 0\n0 0\n")  # 2 of 4 entries
 
 
 def test_read_rejects_negative_qubit_count():
-    with pytest.raises(q.ParseError):
-        q.read_state("qubits -1\n")
     with pytest.raises(q.ParseError):
         q.read_matrix("qubits -1\n")
 
@@ -522,3 +497,11 @@ def test_every_exported_name_resolves():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_package_exports_exactly_its_modules_exports():
+    exported = set()
+    for info in pkgutil.iter_modules(q.__path__):
+        module = importlib.import_module(f"qclock.{info.name}")
+        exported |= set(getattr(module, "__all__", ()))
+    assert set(q.__all__) == exported

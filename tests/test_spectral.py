@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -293,38 +291,11 @@ def test_propagation_spectrum_matches_compiled_walk():
         np.testing.assert_allclose(evals, want, atol=1e-9)
 
 
-def test_check_promise_classifies():
-    rng = rng_for("promise")
-    c = random_circuit(rng, n_input=2, n_ancilla=0, length=2)
-    h = q.compile_circuit(c)
-    gap = q.PromiseGap(a=1e-6, b=0.1)
-    verdict, report = q.check_promise(h, gap)
-    assert verdict == "low"
-    assert report.min_eigenvalue <= 1e-6
-
-    c2 = all_reject_circuit(rng, 1, 1)
-    h2 = q.compile_circuit(c2)
-    verdict2, report2 = q.check_promise(h2, q.PromiseGap(a=1e-6, b=0.20))
-    assert verdict2 == "high"
-    assert report2.min_eigenvalue >= 0.20
-
-    verdict3, _ = q.check_promise(h2, q.PromiseGap(a=1e-6, b=0.9))
-    assert verdict3 == "violated"
-
-
 def test_min_eigenvalue_rejects_bad_residual_targets():
     h = random_povm_hamiltonian(rng_for("bad-residual"), 3, 4)
     for bad in (-1.0, 0.0, np.inf, np.nan):
         with pytest.raises(q.ValidationError, match=f"residual_target {bad} must be finite"):
             q.min_eigenvalue(h, residual_target=bad)
-
-
-def test_promise_gap_validation():
-    with pytest.raises(q.ValidationError):
-        q.PromiseGap(a=0.5, b=0.1)  # needs a < b
-    g = q.PromiseGap(a=0.1, b=0.5)
-    assert g.a == 0.1 and g.b == 0.5
-    assert [f.name for f in dataclasses.fields(g)] == ["a", "b"]
 
 
 def test_serialize_report_round_trip_text():

@@ -247,15 +247,6 @@ def test_mean_energy_bound_dominates_gibbs_mean():
             assert report.mean_energy <= bound.rhs + 1e-10
 
 
-def test_cooling_temperature_frozen():
-    assert q.cooling_temperature(10, 100).value == pytest.approx(
-        0.0007213475204444818, rel=1e-14)
-    with pytest.raises(q.ValidationError):
-        q.cooling_temperature(0, 10)
-    with pytest.raises(q.ValidationError):
-        q.cooling_temperature(10, 0.0)
-
-
 def test_decision_temperature_frozen():
     dt = q.decision_temperature(0.25, 3, 10)
     assert dt.temperature.value == pytest.approx(0.00450842200277801, rel=1e-14)
