@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# binomial draws per chunk of a Monte Carlo run: 8 MB of int64 counts
+_SHOT_CHUNK = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -137,14 +139,21 @@ def naive_restriction_reject(p: AmplifyParams, good_weight: float,
 
 def simulate_majority_vote(p: AmplifyParams, single_accept: float,
                            shots: int, seed: int = 0):
-    """Monte Carlo rejection rate of the k-vote; returns (estimate, stderr)."""
+    """Monte Carlo rejection rate of the k-vote; returns (estimate, stderr).
+
+    The shots are drawn in chunks of _SHOT_CHUNK from one stream, which
+    gives the same draws as one array of them, in constant memory."""
     if shots < 1:
         raise ValidationError(f"shots {shots} must be >= 1")
     if not 0.0 <= single_accept <= 1.0:
         raise ValidationError(f"single_accept {single_accept} outside [0, 1]")
     cut = _reject_cutoff(p)
     rng = named_stream(seed, "majority-vote")
-    counts = rng.binomial(p.k, single_accept, size=shots)
-    est = float(np.mean(counts <= cut))
+    hits = 0
+    for start in range(0, shots, _SHOT_CHUNK):
+        # one expression, so a chunk's counts are freed before the next draw
+        size = min(_SHOT_CHUNK, shots - start)
+        hits += int(np.count_nonzero(rng.binomial(p.k, single_accept, size=size) <= cut))
+    est = hits / shots
     stderr = math.sqrt(max(est * (1.0 - est), 0.0) / shots)
     return est, float(stderr)

@@ -3,9 +3,9 @@
 Convention used everywhere: qubit 0 is the leftmost tensor factor, i.e. the
 most significant bit of a computational basis index. A register of N qubits
 is stored as a length 2**N vector (states) or a 2**N x 2**N matrix
-(operators, density matrices), complex128, row-major; every density
-matrix also holds a 2**N x r square-root factor, and one built from a
-factor forms its matrix only on demand.
+(operators), complex128, row-major. A density matrix is held as a
+2**N x r square-root factor, and forms its 2**N x 2**N matrix only on
+demand.
 
 Vectors are allowed up to QUBIT_CAP qubits, dense matrices up to
 DENSE_QUBIT_CAP; past that the constructors raise ResourceLimitError rather
@@ -30,7 +30,6 @@ QUBIT_CAP = 16          # state vectors
 DENSE_QUBIT_CAP = 12    # dense matrices
 
 ATOL = 1e-12
-_HERMITIAN_BLOCK = 256   # rows per block of the Hermitian check
 _DEGENERACY_TOL = 1e-10  # default width of a degenerate extreme eigenspace
 _RESIDUAL_TARGET = 1e-8  # default ground-pair residual, relative to max(1, ||H||)
 
@@ -51,20 +50,16 @@ def _check_qubit_count(num_qubits: int, cap: int, what: str):
 
 
 def _check_hermitian(m: np.ndarray, what: str, at=None):
-    """ValidationError unless max|m - m^dag| <= 1e-12. Each block of rows is
-    compared with the matching block of columns, so no second n x n matrix
-    is formed. With at=(rows, cols), only those entries are compared with
-    their mirrors, which gives the same verdict when every other entry of m
-    is zero."""
+    """ValidationError unless max|m - m^dag| <= 1e-12. With at=(rows, cols),
+    only those entries are compared with their mirrors, which gives the
+    same verdict when every other entry of m is zero."""
     if at is not None:
         rows, cols = at
         if rows.size and np.abs(m[rows, cols] - m[cols, rows].conj()).max() > ATOL:
             raise ValidationError(f"{what} not Hermitian within 1e-12")
         return
-    for i in range(0, len(m), _HERMITIAN_BLOCK):
-        rows = slice(i, i + _HERMITIAN_BLOCK)
-        if np.abs(m[rows] - m[:, rows].conj().T).max() > ATOL:
-            raise ValidationError(f"{what} not Hermitian within 1e-12")
+    if np.abs(m - m.conj().T).max() > ATOL:
+        raise ValidationError(f"{what} not Hermitian within 1e-12")
 
 
 def _check_unitary(m: np.ndarray, what: str):
@@ -128,69 +123,30 @@ class PureState:
         return PureState(num_qubits, v)
 
 
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, PSD matrix rho on num_qubits qubits, stored as
     a 2^n x r square-root factor F with rho = F F^dag.
 
-    Built from a factor, DensityMatrix(n, factor=F) checks F: finite, with
-    tr(rho) = ||F||_F^2 = 1 within 1e-12; rho is PSD by construction, so no
-    eigensolver runs. Built from entries, DensityMatrix(n, rho) checks rho:
-    finite, Hermitian and unit trace within 1e-12, and PSD within 1e-10 by
-    the one eigendecomposition that also gives F. `entries` is the given
-    array, or F F^dag formed on first use. Energies, pull-backs and
-    partial traces read F, so a state built from one never forms a
-    2^n x 2^n matrix.
+    DensityMatrix(n, factor=F) checks F: finite, with tr(rho) = ||F||_F^2
+    = 1 within 1e-12; rho is PSD by construction, so no eigensolver runs.
+    `entries` is F F^dag, formed on first use. Energies, pull-backs and
+    partial traces read F, so they never form a 2^n x 2^n matrix.
+    Equality is identity.
     """
 
-    def __init__(self, num_qubits: int, entries=None, *, factor=None):
-        if (entries is None) == (factor is None):
-            raise ValidationError("DensityMatrix: give exactly one of entries and factor")
-        given = {"entries": entries} if factor is None else {"factor": factor}
-        self.__dict__.update(num_qubits=num_qubits, **given)
-        self.__post_init__()
+    num_qubits: int
+    factor: np.ndarray = field(repr=False, kw_only=True)
 
     def __post_init__(self):
-        # named like the dataclass hook of the other records: the checks run
-        # once per construction, whichever form the state was built from
         _check_qubit_count(self.num_qubits, DENSE_QUBIT_CAP, "DensityMatrix")
-        dim = 2 ** self.num_qubits
-        if "factor" in self.__dict__:
-            self.__dict__["factor"] = _check_factor(
-                _as_complex(self.factor), dim, "DensityMatrix")
-            return
-        m = self.__dict__["entries"] = _as_complex(self.entries)
-        if m.shape != (dim, dim):
-            raise ValidationError(f"DensityMatrix: expected shape {(dim, dim)}, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValidationError("DensityMatrix: non-finite entry")
-        _check_hermitian(m, "DensityMatrix:")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > 1e-12:
-            raise ValidationError(f"DensityMatrix: trace {tr!r} is not 1 within 1e-12")
-        evals, evecs = _eigh(m)
-        if evals[0] < -1e-10:
-            raise ValidationError(
-                f"DensityMatrix: negative eigenvalue {evals[0]:.3e} below -1e-10"
-            )
-        # a backward-stable eigensolver resolves eigenvalues only to about
-        # dim * eps * ||rho||; the levels below that (and the negative ones
-        # the PSD slack allows) are noise with arbitrary eigenvectors, and a
-        # clock penalty of L**12 would amplify them, so they are dropped and
-        # the rest keep rho's trace, as the factor's own trace check asks
-        keep = evals > evals[-1] * dim * np.finfo(float).eps
-        levels = evals[keep] * (tr.real / evals[keep].sum())
-        self.__dict__["factor"] = _as_complex(evecs[:, keep] * np.sqrt(levels))
+        object.__setattr__(self, "factor", _check_factor(
+            _as_complex(self.factor), 2 ** self.num_qubits, "DensityMatrix"))
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
         f = self.factor
         return _as_complex(f @ f.conj().T)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"DensityMatrix is immutable; cannot set {name!r}")
-
-    def __repr__(self) -> str:
-        return f"DensityMatrix(num_qubits={self.num_qubits})"
 
 
 @dataclass(frozen=True)

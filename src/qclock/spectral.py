@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse.linalg
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ResourceLimitError, ValidationError
 from .qcore import (
     _RESIDUAL_TARGET, DENSE_QUBIT_CAP, QUBIT_CAP, PureState, _check_hermitian,
     _check_qubit_count, _eigh, _scatter_entries, apply_local, fmt_float,
@@ -117,7 +117,9 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
     (qcore._eigh). Lanczos stops once every Ritz pair's absolute residual
     is below about 2 * residual_target, and fails with ConvergenceError
     once it has spent _LANCZOS_MATVECS products, or when a total weight
-    past residual_target / eps leaves a returned pair above that residual.
+    past residual_target / eps leaves a returned pair above that residual;
+    a k so large that one restart would pass that budget is a
+    ResourceLimitError before any product.
     The returned ground pair is residual-checked (on the matrix a dense
     solve factored, through matvec after Lanczos) against residual_target
     relative to the operator scale max(1, total_weight): backward error
@@ -147,6 +149,14 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
         else:
             solved, evals, evecs = found
     else:
+        # ARPACK takes ncv + 1 products before its first restart and at most
+        # ncv - k at each one; a k whose first restart alone would pass the
+        # budget is refused before any product or allocation
+        ncv = min(max(2 * k + 1, 20), dim)
+        if ncv + 1 + (ncv - k) > _LANCZOS_MATVECS:
+            raise ResourceLimitError(
+                f"Lanczos for k={k} eigenvalues needs {ncv + 1 + (ncv - k)} "
+                f"matvecs to restart once, above the budget of {_LANCZOS_MATVECS}")
         # Lanczos on sigma*I - H with which="LA": the ground state of H
         # becomes the dominant end of a PSD operator, which restarted
         # Lanczos tracks far more reliably than "SA" does on spectra
@@ -162,13 +172,10 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
         # theta, an eigenvalue of sigma*I - H, is at most 2 sigma: so the
         # absolute residual stays within about 2 * residual_target, and a
         # Ritz value with residual r lies within r of an eigenvalue of H
-        ncv = min(max(2 * k + 1, 20), dim)
         eps = np.finfo(float).eps
         tol = max(residual_target / max(1.0, sigma), eps)
-        # ARPACK takes ncv + 1 products before its first restart and at most
-        # ncv - k at each one, so this restart cap keeps within the budget
-        # (a budget below one restart still allows one)
-        restarts = max(1, (_LANCZOS_MATVECS - ncv - 1) // (ncv - k))
+        # the most restarts within the budget: at least one, by the check above
+        restarts = (_LANCZOS_MATVECS - ncv - 1) // (ncv - k)
         try:
             evals, evecs = scipy.sparse.linalg.eigsh(
                 op, k=k, which="LA", v0=v0, ncv=ncv, maxiter=restarts, tol=tol,

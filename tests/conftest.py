@@ -86,8 +86,8 @@ def random_density_matrix(rng, num_qubits: int, rank=None) -> DensityMatrix:
     d = 2 ** num_qubits
     r = rank or d
     a = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
-    m = a @ a.conj().T
-    return DensityMatrix(num_qubits, m / np.trace(m).real)
+    # the state m / tr(m) with m = a a^dag
+    return DensityMatrix(num_qubits, factor=a / np.linalg.norm(a))
 
 
 def random_unit_interval_hermitian(rng, k: int) -> np.ndarray:

@@ -1,12 +1,14 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import qclock as q
+from qclock import amplify
 
 from conftest import checkout_env
 
@@ -150,6 +152,30 @@ def test_simulate_majority_vote_deterministic():
     a, _ = q.simulate_majority_vote(p, 0.42, shots=1000, seed=7)
     b, _ = q.simulate_majority_vote(p, 0.42, shots=1000, seed=8)
     assert a != b  # different seeds explore different shot streams
+
+
+def test_simulate_majority_vote_is_the_same_in_chunks(monkeypatch):
+    # chunks of 7 draws from one stream are the draws of one array, so the
+    # estimate and its error are bit for bit those of a single chunk
+    p = q.AmplifyParams(81, 0.25)
+    whole = q.simulate_majority_vote(p, 0.42, shots=1000, seed=7)
+    monkeypatch.setattr(amplify, "_SHOT_CHUNK", 7)
+    assert q.simulate_majority_vote(p, 0.42, shots=1000, seed=7) == whole
+
+
+def test_simulate_majority_vote_holds_one_chunk_of_counts(monkeypatch):
+    # four chunks' worth of shots never hold more than two chunks of int64
+    # counts at once
+    chunk = 2 ** 14
+    monkeypatch.setattr(amplify, "_SHOT_CHUNK", chunk)
+    p = q.AmplifyParams(81, 0.25)
+    tracemalloc.start()
+    try:
+        q.simulate_majority_vote(p, 0.42, shots=4 * chunk, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * chunk * np.dtype(np.int64).itemsize
 
 
 def test_import_leaves_scipy_special_unloaded():

@@ -101,22 +101,22 @@ def test_apply_gates_matches_unitary():
 def test_accept_probability_frozen_values():
     # frozen from a hand-built kron/permutation oracle
     c = bell_circuit()
-    ten = q.DensityMatrix(2, np.diag([0, 0, 1.0, 0]))  # |10>
+    ten = q.PureState(2, np.array([0, 0, 1.0, 0])).density()  # |10>
     p = q.accept_probability(c, ten)
     assert abs(p - 0.4999999999999999) < 1e-12
 
     c2 = q.Circuit(q.RegisterLayout(1, 1),
                    (q.Gate("T", (0,)), q.Gate("CNOT", (0, 1))),
                    accept_qubit=1)
-    plus = np.full((2, 2), 0.5)
-    p2 = q.accept_probability(c2, q.DensityMatrix(1, plus))
+    plus = q.PureState(1, np.full(2, 2 ** -0.5))
+    p2 = q.accept_probability(c2, plus.density())
     assert abs(p2 - 0.4999999999999999) < 1e-12
 
 
 def test_accept_probability_with_ancillas_zeroed():
     # ancilla starts at |0>: X on it flips accept to 1 deterministically
     c = q.Circuit(q.RegisterLayout(1, 1), (q.Gate("X", (1,)),), accept_qubit=1)
-    rho = q.DensityMatrix(1, np.diag([1.0, 0.0]))
+    rho = q.PureState(1, np.array([1.0, 0.0])).density()
     assert abs(q.accept_probability(c, rho) - 1.0) < 1e-14
 
 
@@ -130,7 +130,7 @@ def test_acceptance_operator_matches_direct_runs():
         direct = accept_oracle(c, rho)
         quad = (s.amplitudes.conj() @ m @ s.amplitudes).real
         assert abs(direct - quad) < 1e-12
-        got = q.accept_probability(c, q.DensityMatrix(2, rho))
+        got = q.accept_probability(c, s.density())
         assert abs(got - direct) < 1e-12
 
 

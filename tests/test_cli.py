@@ -10,7 +10,9 @@ import qclock as q
 from qclock import spectral
 from qclock.cli import main
 
-from conftest import all_reject_circuit, checkout_env, marginal_circuit, rng_for
+from conftest import (
+    all_reject_circuit, checkout_env, marginal_circuit, random_povm_hamiltonian, rng_for,
+)
 
 
 CIRCUIT = """\
@@ -101,6 +103,24 @@ def test_spectrum_iterative_exits_4_when_lanczos_spends_its_budget(tmp_path, mon
     cap = capsys.readouterr()
     assert cap.out == ""
     assert "convergence failure: Lanczos did not converge within 60 matvecs" in cap.err
+
+
+def test_spectrum_exits_3_when_k_passes_the_lanczos_budget(tmp_path, monkeypatch, capsys):
+    # k = 700 on 13 qubits: one restart alone would take 2103 products, past
+    # the budget of 2000, so the solve is refused before its first product
+    # (or its 2^13 x 1401 Krylov basis)
+    def refuse(h, v):
+        raise AssertionError("matvec called")
+
+    monkeypatch.setattr(spectral, "matvec", refuse)
+    ham = tmp_path / "r13.ham"
+    ham.write_text(q.serialize_hamiltonian(
+        random_povm_hamiltonian(rng_for("cli-lanczos-k"), 13, 4)))
+    assert main(["spectrum", str(ham), "--k", "700"]) == 3
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == ("resource limit: Lanczos for k=700 eigenvalues needs 2103 "
+                       "matvecs to restart once, above the budget of 2000\n")
 
 
 def test_witness_output_block(circuit_file, capsys):

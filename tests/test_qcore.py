@@ -14,7 +14,7 @@ from qclock.qcore import (
 from conftest import (
     all_reject_circuit, assemble_oracle, components_oracle, digest, failing_lapack,
     ground_projector_oracle, lapack_inputs, partial_trace_oracle, random_density_matrix,
-    random_povm_hamiltonian, random_pure_state, rng_for,
+    random_pure_state, rng_for,
 )
 
 
@@ -26,29 +26,6 @@ def test_pure_state_validation():
     s = q.PureState(1, np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         s.amplitudes[0] = 0.5  # frozen buffer
-
-
-def test_density_matrix_validation():
-    with pytest.raises(q.ValidationError):
-        q.DensityMatrix(1, np.array([[0.5, 0.0], [0.0, 0.6]]))  # trace != 1
-    with pytest.raises(q.ValidationError):
-        q.DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))  # not PSD
-    with pytest.raises(q.ValidationError):
-        q.DensityMatrix(1, np.array([[0.5, 1.0], [0.0, 0.5]]))  # not Hermitian
-    with pytest.raises(q.ValidationError):
-        q.DensityMatrix(1, np.array([[np.nan, 0.0], [0.0, 1.0]]))  # not finite
-
-
-def test_density_matrix_psd_check_failure_is_a_convergence_error(monkeypatch):
-    # the entries' PSD check runs the one dense eigensolver, so a LAPACK
-    # failure there is typed (exit 4), not a bare LinAlgError; the state has
-    # an off-diagonal entry, as a diagonal one's 1 x 1 blocks skip LAPACK
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(scipy.linalg, "eigh", fail)
-    with pytest.raises(q.ConvergenceError, match="dense eigensolver failed"):
-        q.DensityMatrix(1, np.array([[0.5, 0.25], [0.25, 0.5]]))
 
 
 def test_factor_built_density_matrix_validation():
@@ -64,15 +41,15 @@ def test_factor_built_density_matrix_validation():
         q.DensityMatrix(1, factor=np.ones((4, 1)) / 2)      # 2 qubits' rows
     with pytest.raises(q.ValidationError, match="rows"):
         q.DensityMatrix(1, factor=np.zeros((2, 0)))         # no columns
-    with pytest.raises(q.ValidationError, match="exactly one"):
-        q.DensityMatrix(1, np.eye(2) / 2, factor=np.eye(2) / np.sqrt(2))
+    with pytest.raises(TypeError):
+        q.DensityMatrix(1, np.eye(2) / 2)                   # a matrix, not a factor
     with pytest.raises(q.ResourceLimitError):
         q.DensityMatrix(q.DENSE_QUBIT_CAP + 1, factor=np.ones((1, 1)))
 
 
 def test_density_matrix_forms_agree():
-    # a factor-built state's entries are F F^dag; an entries-built state's
-    # factor reproduces its entries; neither can be reassigned
+    # a state's entries are F F^dag, formed once; a pure state's factor is
+    # its amplitude column; no field can be reassigned
     rng = rng_for("forms")
     a = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
     a /= np.linalg.norm(a)
@@ -91,33 +68,11 @@ def test_density_matrix_forms_agree():
         rho.num_qubits = 2
 
 
-def test_entries_built_state_is_factored_once(monkeypatch):
-    # construction runs the one eigendecomposition; energy, partial trace
-    # and tensor product read the factor it left behind
-    calls = []
-    eigh = qcore._eigh
-
-    def record(*args, **kwargs):
-        calls.append(kwargs.get("vectors", True))
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(qcore, "_eigh", record)
-    rng = rng_for("factored-once")
-    rho = random_density_matrix(rng, 4)
-    assert calls == [True]
-    h = random_povm_hamiltonian(rng, 4, 5)
-    assert q.hamiltonian_energy(rho, h) == pytest.approx(
-        np.trace(rho.entries @ assemble_oracle(h)).real, abs=1e-12)
-    q.partial_trace(rho, [0, 2])
-    q.tensor_product(rho, rho)
-    assert calls == [True]
-
-
 def test_derived_states_run_no_eigensolver(monkeypatch):
     rng = rng_for("derived-no-eigh")
-    from_entries = random_density_matrix(rng, 3, rank=2)
+    rank2 = random_density_matrix(rng, 3, rank=2)
     a = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-    from_factor = q.DensityMatrix(2, factor=a / np.linalg.norm(a))
+    rank3 = q.DensityMatrix(2, factor=a / np.linalg.norm(a))
 
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolver ran on a derived state")
@@ -126,23 +81,14 @@ def test_derived_states_run_no_eigensolver(monkeypatch):
                         (scipy.linalg, "eigvalsh"), (np.linalg, "eigh"),
                         (np.linalg, "eigvalsh")):
         monkeypatch.setattr(owner, name, refuse)
-    for rho in (from_entries, from_factor):
+    for rho in (rank2, rank3):
         n = rho.num_qubits
         red = q.partial_trace(rho, [n - 1])
         np.testing.assert_allclose(
             red.entries, partial_trace_oracle(rho.entries, [n - 1], n), atol=1e-14)
-    joint = q.tensor_product(from_entries, from_factor)
+    joint = q.tensor_product(rank2, rank3)
     np.testing.assert_allclose(
-        joint.entries, np.kron(from_entries.entries, from_factor.entries), atol=1e-14)
-
-
-def test_psd_slack_survives_partial_trace():
-    # a level of -5e-11 is within the PSD slack; the factor drops it but
-    # keeps rho's trace, so the reduced state passes the factor's trace check
-    rho = q.DensityMatrix(2, np.diag([0.5 + 5e-11, 0.5, -5e-11, 0.0]))
-    assert abs(np.vdot(rho.factor, rho.factor).real - 1.0) < 1e-15
-    red = q.partial_trace(rho, [0])
-    np.testing.assert_allclose(red.entries, np.diag([1.0, 0.0]), atol=1e-10)
+        joint.entries, np.kron(rank2.entries, rank3.entries), atol=1e-14)
 
 
 def test_qubit_caps_enforced():
@@ -150,7 +96,7 @@ def test_qubit_caps_enforced():
         q.PureState(q.QUBIT_CAP + 1, np.zeros(2 ** (q.QUBIT_CAP + 1)))
     with pytest.raises(q.ResourceLimitError):
         d = 2 ** (q.DENSE_QUBIT_CAP + 1)
-        q.DensityMatrix(q.DENSE_QUBIT_CAP + 1, np.eye(d) / d)
+        q.DensityMatrix(q.DENSE_QUBIT_CAP + 1, factor=np.full((d, 1), d ** -0.5))
 
 
 def test_register_layout():
@@ -214,8 +160,8 @@ def test_expectation_refuses_a_mismatched_shape():
 
 @pytest.mark.parametrize("where", [(511, 300), (255, 256), (0, 511)])
 def test_hermitian_check_sees_every_row_block(where):
-    # 512 rows span two blocks: a defect in the last block, one straddling
-    # the boundary, and one whose transpose lies in the last block
+    # a defect in the last row, one beside the diagonal and one in the
+    # first row are each seen; a defect of exactly 1e-12 passes
     rng = rng_for("hermitian-blocks")
     a = rng.normal(size=(512, 512)) + 1j * rng.normal(size=(512, 512))
     h = a + a.conj().T
@@ -366,15 +312,16 @@ def test_one_component_reaches_lapack_uncopied(monkeypatch):
 
 
 def test_singleton_blocks_skip_lapack(monkeypatch):
-    # a diagonal state is 256 blocks of 1 x 1, each read off as its entry
-    # and a unit vector: no LAPACK call, and bit for bit the factor that
-    # one zheevr call per block gave (frozen digest), ties kept in block order
+    # a diagonal matrix is 256 blocks of 1 x 1, each read off as its entry
+    # and a unit vector: no LAPACK call, and bit for bit the pairs that one
+    # zheevr call per block gave (frozen digests), ties kept in block order
     seen = lapack_inputs(monkeypatch)
     rng = rng_for("singleton-blocks")
     p = rng.integers(1, 5, size=256).astype(float)
-    rho = q.DensityMatrix(8, np.diag(p / p.sum()))
+    vals, vecs = qcore._eigh(np.diag(p / p.sum()))
     assert seen == []
-    assert digest(rho.factor) == "448f0f3dbe5667e1"
+    assert digest(vals) == "b6463269a4949adf"
+    assert digest(vecs) == "d91dc5840f97be4f"
     # beside larger blocks, the singleton level 3.0 merges into place
     h = _hidden_blocks(rng_for("eigh-blocks"), BLOCK_LEVELS)
     full = np.linalg.eigvalsh(h)

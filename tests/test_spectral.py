@@ -176,6 +176,27 @@ def test_clock_layout_at_the_default_penalty_stops_at_the_budget(monkeypatch):
     assert 0 < len(calls) <= 60 + 1      # + one block residual of any returned pairs
 
 
+def test_lanczos_refuses_a_k_whose_first_restart_passes_the_budget(monkeypatch):
+    # ARPACK takes ncv + 1 products and then ncv - k per restart: at a
+    # budget of 60, k = 19 (ncv 39) fits one restart exactly, and k = 20
+    # and k = 25 (63 and 78 products) are refused before any product;
+    # k = 6 fits two restarts, 49 products
+    monkeypatch.setattr(spectral, "_LANCZOS_MATVECS", 60)
+    calls = _count_matvecs(monkeypatch)
+    h = q.compile_circuit(all_reject_circuit(rng_for("lanczos-budget"), 2, 8))
+    for k, needs in ((20, 63), (25, 78)):
+        with pytest.raises(q.ResourceLimitError,
+                           match=f"k={k} eigenvalues needs {needs} matvecs to "
+                                 "restart once, above the budget of 60"):
+            q.min_eigenvalue(h, k=k, method="iterative")
+        assert calls == []
+    for k, spent in ((6, 49), (19, 60)):
+        calls.clear()
+        with pytest.raises(q.ConvergenceError, match="did not converge within 60 matvecs"):
+            q.min_eigenvalue(h, k=k, method="iterative")
+        assert len(calls) == spent
+
+
 @pytest.mark.parametrize("name, message", [
     ("lanczos-uncertified", "did not converge within 2000 matvecs"),
     ("lanczos-uncertified-b", "float64 products resolve only"),
