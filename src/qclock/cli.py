@@ -238,11 +238,19 @@ def cmd_gibbs(args, tol) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the shared flags, with their defaults before the subcommand and
+    # without (SUPPRESS) after it, so that a flag given before it stands and
+    # one given on both sides takes the later value; each side is a parser
+    # of its own, as a parent's actions are shared, not copied
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="root RNG seed")
-    common.add_argument("--tolerance", action="append", metavar="NAME=VAL",
-                        help="override a named tolerance")
-    common.add_argument("--out", help="write data to this file instead of stdout")
+    shared = argparse.ArgumentParser(add_help=False)
+    off = argparse.SUPPRESS
+    for flags, seed, unset in ((common, 0, None), (shared, off, off)):
+        flags.add_argument("--seed", type=int, default=seed, help="root RNG seed")
+        flags.add_argument("--tolerance", action="append", metavar="NAME=VAL",
+                           default=unset, help="override a named tolerance")
+        flags.add_argument("--out", default=unset,
+                           help="write data to this file instead of stdout")
 
     parser = argparse.ArgumentParser(
         prog="qclock",
@@ -252,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help):  # noqa: A002 - argparse's own vocabulary
-        return sub.add_parser(name, help=help, parents=[common])
+        return sub.add_parser(name, help=help, parents=[shared])
 
     p = add("compile", "circuit file -> Hamiltonian term list")
     p.add_argument("circuit")

@@ -2,27 +2,28 @@
 
 Matrices built from terms are scattered, and products with a state are
 multiplied, in one register layout (qcore._support_first). Every dense
-matrix is built from one list: each term's weighted entries
-(qcore._scatter_entries), concatenated in term order. assemble sums it,
-repeated pairs in list order, into a plain read-only Hermitian array.
+consumer reads one CSR matrix, built by _sparse_sum from the terms'
+weighted entries (qcore._scatter_entries) and checked Hermitian once;
+assemble densifies it into a plain read-only array.
 matvec, used by Lanczos, its residual checks and the energy helpers, is
 matrix-free: it runs the few fused groups of LocalHamiltonian.fused through
 apply_local, once per group, not once per term. Its sums are ordered by
 group, so they can differ from the assembled matrix's at rounding level.
 Dense handles up to 12 qubits, matrix-free up to 16.
 
-The dense route of min_eigenvalue builds H sparsely from the list, built
-once, and splits its basis at the largest gap of the sorted diagonal. When
-a computed certificate shows that the upper part is a penalized block (a
-clock Hamiltonian's illegal clock states under their L**12 penalty), that
-block is eliminated exactly (_eliminated_levels): the levels come from the
-Schur complement on the low block, at the finite penalty, with no 2^n x 2^n
+The dense route of min_eigenvalue builds that CSR H once and splits its
+basis at the largest gap of the sorted diagonal. When a computed
+certificate shows that the upper part is a penalized block (a clock
+Hamiltonian's illegal clock states under their L**12 penalty), that block
+is eliminated exactly (_eliminated_levels): the levels come from the Schur
+complement on the low block, at the finite penalty, with no 2^n x 2^n
 array, each solved by qcore._eigh. Without a certificate, or when that
-solve fails, the list is summed as in assemble and factored by qcore._eigh,
-each connected block of its nonzero pattern on its own: a clock Hamiltonian
-splits wherever a register qubit is only acted on diagonally (an all-reject
-circuit's accept ancilla) or the gates only permute basis states. The
-ground pair's residual is taken on the matrix solved.
+solve fails, the same CSR is densified, as in assemble, and factored by
+qcore._eigh, each connected block of its nonzero pattern on its own: a
+clock Hamiltonian splits wherever a register qubit is only acted on
+diagonally (an all-reject circuit's accept ancilla) or the gates only
+permute basis states. The ground pair's residual is taken on the matrix
+solved.
 """
 
 from __future__ import annotations
@@ -65,27 +66,28 @@ class SpectralReport(NamedTuple):
 
 def assemble(h: LocalHamiltonian) -> np.ndarray:
     """Dense Hermitian matrix of the weighted term sum, as a read-only array."""
-    entries = _weighted_entries(h)
-    total = _dense_sum(entries, 2 ** h.num_qubits)
-    _check_hermitian(total, "assemble: weighted sum", at=entries[:2])
-    return total
+    return _dense(_sparse_sum(h))
 
 
-def _weighted_entries(h: LocalHamiltonian):
-    """Global (rows, cols, weight * values) of all terms, in term order."""
+def _sparse_sum(h: LocalHamiltonian) -> scipy.sparse.csr_array:
+    """The weighted term sum as one CSR matrix, checked Hermitian; its entries
+    are sorted stably by position, so each position's repeats add in term order."""
     _check_qubit_count(h.num_qubits, DENSE_QUBIT_CAP, "dense assembly")
+    dim = 2 ** h.num_qubits
     parts = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex))]
     for term in h.terms:
         rows, cols, vals = _scatter_entries(term.matrix, term.support, h.num_qubits)
         parts.append((rows, cols, term.weight * vals))
-    return tuple(np.concatenate(part) for part in zip(*parts))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*parts))
+    order = np.argsort(rows * dim + cols, kind="stable")
+    full = scipy.sparse.csr_array((vals[order], (rows[order], cols[order])), shape=(dim, dim))
+    _check_hermitian(full, "assemble: weighted sum")
+    return full
 
 
-def _dense_sum(entries, dim: int) -> np.ndarray:
-    """The entries summed densely and read-only, repeated pairs in list order
-    (as COO adds them). The caller checks the sum is Hermitian."""
-    rows, cols, vals = entries
-    total = scipy.sparse.coo_array((vals, (rows, cols)), shape=(dim, dim)).toarray()
+def _dense(full: scipy.sparse.csr_array) -> np.ndarray:
+    """full as a dense read-only array."""
+    total = full.toarray()
     total.flags.writeable = False
     return total
 
@@ -109,11 +111,11 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
 
     method: dense (exact, <= 12 qubits), iterative (matrix-free Lanczos,
     <= 16 qubits, deterministic seeded start vector), or auto. Dense is a
-    direct solve of the full operator, from one entry list: a penalized
-    block certified by _eliminated_levels (every illegal clock state at the
-    default clock penalty) is eliminated exactly, and the k levels come from
-    its Schur complement on the low block; without a certificate the list
-    is summed as in assemble and factored with zheevr, block by block
+    direct solve of the full operator, built once as a CSR matrix: a
+    penalized block certified by _eliminated_levels (every illegal clock
+    state at the default clock penalty) is eliminated exactly, and the k
+    levels come from its Schur complement on the low block; without a
+    certificate that CSR is densified and factored with zheevr, block by block
     (qcore._eigh). Lanczos stops once every Ritz pair's absolute residual
     is below about 2 * residual_target, and fails with ConvergenceError
     once it has spent _LANCZOS_MATVECS products, or when a total weight
@@ -141,13 +143,12 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
         # ARPACK needs k < dim-1 and room for the Krylov basis
         method = "dense"
     if method == "dense":
-        entries = _weighted_entries(h)
-        found = _eliminated_levels(entries, dim, k)
+        solved = _sparse_sum(h)
+        found = _eliminated_levels(solved, k)
         if found is None:
-            solved = _dense_sum(entries, dim)
-            evals, evecs = _eigh(solved, k)
-        else:
-            solved, evals, evecs = found
+            solved = _dense(solved)
+            found = _eigh(solved, k)
+        evals, evecs = found
     else:
         # ARPACK takes ncv + 1 products before its first restart and at most
         # ncv - k at each one; a k whose first restart alone would pass the
@@ -209,7 +210,7 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
     product = solved @ ground if method == "dense" else matvec(h, ground)
     residual = float(np.linalg.norm(product - evals[0] * ground))
     # freed first, so the report's copy of ground does not pin their heap space
-    solved = entries = found = None
+    solved = found = None
     scale = max(1.0, h.total_weight)
     if residual > residual_target * scale:
         raise ConvergenceError(
@@ -227,13 +228,13 @@ def min_eigenvalue(h: LocalHamiltonian, k: int = 6, method: str = "auto",
     )
 
 
-def _eliminated_levels(entries, dim: int, k: int):
-    """(H, levels, vectors): the k lowest eigenpairs of H with its penalized
-    block eliminated exactly, or None when the split below is not certified.
+def _eliminated_levels(full: scipy.sparse.csr_array, k: int):
+    """(levels, vectors): the k lowest eigenpairs of H = full, from
+    _sparse_sum, with its penalized block eliminated exactly, or None when
+    the split below is not certified.
 
-    H is built sparsely from the entries of _weighted_entries (the CSR
-    matrix returned) and its basis split at the largest gap of the sorted
-    diagonal into a low block A and a penalized block B. The split is
+    H's basis is split at the largest gap of the sorted diagonal into a
+    low block A and a penalized block B. The split is
     certified when the Gershgorin floor of B, min(H_ii - sum_{j in B, j != i}
     |H_ij|), lies above the Gershgorin ceiling of A, which bounds every
     eigenvalue of H_AA: by Cauchy interlacing the |A| lowest levels of H then
@@ -253,11 +254,7 @@ def _eliminated_levels(entries, dim: int, k: int):
     array is formed. S is solved by qcore._eigh, which retries zheevr once
     in the reversed basis; None is returned when that fails too.
     """
-    rows, cols, vals = entries
-    full = scipy.sparse.csr_array((vals, (rows, cols)), shape=(dim, dim))
-    # the one Hermitian check of a dense solve: the fallback sums these
-    # same entries unchecked
-    _check_hermitian(full, "assemble: weighted sum", at=(rows, cols))
+    dim = full.shape[0]
     if dim < 2:
         return None
     diag = full.diagonal().real
@@ -266,8 +263,8 @@ def _eliminated_levels(entries, dim: int, k: int):
     if k > cut:
         return None
     low, high = np.sort(order[:cut]), np.sort(order[cut:])
-    h_aa = full[low][:, low]
-    h_ab = full[low][:, high]
+    rows_a = full[low]
+    h_aa, h_ab = rows_a[:, low], rows_a[:, high]
     h_bb = full[high][:, high]
     d = diag[high]
     off = h_bb - scipy.sparse.diags_array(h_bb.diagonal())
@@ -336,7 +333,7 @@ def _eliminated_levels(entries, dim: int, k: int):
         evecs[high, j] = -x
     evecs /= np.linalg.norm(evecs, axis=0)
     order = np.argsort(levels, kind="stable")
-    return full, levels[order], evecs[:, order]
+    return levels[order], evecs[:, order]
 
 
 def _pair_residuals(h: LocalHamiltonian, evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:

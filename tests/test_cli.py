@@ -654,6 +654,19 @@ def test_seed_changes_mc_output(capsys):
     assert out1 == out2
 
 
-def test_global_flags_accepted_before_subcommand(circuit_file, capsys):
+def test_global_flags_accepted_before_subcommand(circuit_file, tmp_path, capsys):
     assert main(["--seed", "2", "compile", circuit_file]) == 0
     capsys.readouterr()
+    # the flags given before the subcommand are used, not reset by its defaults
+    table = ["amplify", "--k", "16", "--eps", "0.25", "--mc", "400"]
+    assert main(table + ["--seed", "5"]) == 0
+    after = capsys.readouterr().out
+    assert main(["--seed", "5"] + table) == 0
+    assert capsys.readouterr().out == after
+    assert after.splitlines()[1].endswith(",5")
+    out = tmp_path / "before.csv"
+    assert main(["--seed", "5", "--out", str(out)] + table) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == after
+    assert main(["--tolerance", "residual=-1"] + table) == 2
+    assert "residual_target -1.0 must be finite and > 0" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import pkgutil
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import qclock as q
 from qclock import qcore
@@ -158,21 +159,25 @@ def test_expectation_refuses_a_mismatched_shape():
             q.expectation(rho, bad)
 
 
-@pytest.mark.parametrize("where", [(511, 300), (255, 256), (0, 511)])
-def test_hermitian_check_sees_every_row_block(where):
+@pytest.mark.parametrize("where, form", [
+    pytest.param(where, form, id=f"where{i}{suffix}")
+    for suffix, form in (("", np.asarray), ("-csr", scipy.sparse.csr_array))
+    for i, where in enumerate([(511, 300), (255, 256), (0, 511)])])
+def test_hermitian_check_sees_every_row_block(where, form):
     # a defect in the last row, one beside the diagonal and one in the
-    # first row are each seen; a defect of exactly 1e-12 passes
+    # first row are each seen; a defect of exactly 1e-12 passes; the same
+    # on a dense array and on a sparse matrix
     rng = rng_for("hermitian-blocks")
     a = rng.normal(size=(512, 512)) + 1j * rng.normal(size=(512, 512))
     h = a + a.conj().T
-    _check_hermitian(h, "h")
+    _check_hermitian(form(h), "h")
     bad = h.copy()
     bad[where] += 2e-12
     with pytest.raises(q.ValidationError, match="h not Hermitian within 1e-12"):
-        _check_hermitian(bad, "h")
+        _check_hermitian(form(bad), "h")
     ok = np.zeros((512, 512), dtype=complex)
     ok[where] = 1e-12
-    _check_hermitian(ok, "h")
+    _check_hermitian(form(ok), "h")
 
 
 def test_unitary_check():

@@ -366,14 +366,14 @@ def eliminated_clock_layouts():
 
 
 def eliminated(h, k):
-    return spectral._eliminated_levels(spectral._weighted_entries(h), 2 ** h.num_qubits, k)
+    return spectral._eliminated_levels(spectral._sparse_sum(h), k)
 
 
 def forbid_assembly(monkeypatch):
     def forbidden(*args):
         raise AssertionError("dense sum built on a certified clock layout")
 
-    monkeypatch.setattr(spectral, "_dense_sum", forbidden)
+    monkeypatch.setattr(spectral, "_dense", forbidden)
 
 
 def test_dense_clock_solves_eliminate_the_penalized_block(monkeypatch):
@@ -424,7 +424,7 @@ def test_dense_route_without_a_certificate_factors_the_assembled_matrix(case, mo
         monkeypatch.setattr(spectral, "_eigh", fail_reduced)
     assert eliminated(h, k) is None
     evals, evecs = qcore._eigh(q.assemble(h), k)
-    # the certificate and the fallback share one entry list
+    # the certificate and the fallback share one CSR matrix
     calls = []
     scatter = spectral._scatter_entries
     monkeypatch.setattr(spectral, "_scatter_entries",
@@ -513,8 +513,7 @@ def test_dense_residual_is_taken_on_the_solved_matrix():
 
 
 def test_a_dense_solve_checks_the_weighted_sum_once(monkeypatch):
-    # the eliminated route checks its CSR H at the terms' positions; the
-    # fallback sums the same entries and relies on that check
+    # the eliminated route and the fallback share one CSR H, checked once
     calls = []
     check = spectral._check_hermitian
 
