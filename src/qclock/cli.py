@@ -20,7 +20,7 @@ from .qcore import _DEGENERACY_TOL, _RESIDUAL_TARGET, fmt_float, write_matrix
 from .circuit import parse_circuit
 from .clockham import compile_circuit, parse_hamiltonian, serialize_hamiltonian
 from .spectral import min_eigenvalue, serialize_report
-from .witness import WitnessParams, prepare_witness
+from .witness import prepare_witness
 from .amplify import AmplifyParams, simulate_majority_vote, tail_bounds
 from .thermal import (
     Temperature, _verdict, decision_temperature, gibbs_factor, gibbs_reports,
@@ -116,9 +116,8 @@ def cmd_compile(args, tol) -> str:
 
 def cmd_spectrum(args, tol) -> str:
     h = parse_hamiltonian(_read(args.hamiltonian))
-    method = {"sparse": "iterative"}.get(args.method, args.method)
     report = min_eigenvalue(
-        h, k=args.k, method=method, seed=args.seed,
+        h, k=args.k, method=args.method, seed=args.seed,
         residual_target=tol["residual"],
     )
     print(f"lambda_min {report.min_eigenvalue:.6e} via {report.method}", file=sys.stderr)
@@ -136,9 +135,8 @@ def _witness_source(spec: str, tol):
 
 def cmd_witness(args, tol) -> str:
     c = parse_circuit(_read(args.circuit))
-    params = WitnessParams(k=args.k, seed=args.seed)
     result = prepare_witness(
-        c, params, _witness_source(args.source, tol),
+        c, _witness_source(args.source, tol), k=args.k,
         target_energy=args.target_energy,
     )
     print(
@@ -152,30 +150,18 @@ def cmd_witness(args, tol) -> str:
         f"accept_probability {fmt_float(result.accept_probability)}",
         f"energy {fmt_float(result.energy)}",
         f"k {result.k}",
-        f"seed {result.seed}",
+        f"seed {args.seed}",    # echoed only: the witness draws nothing
         "flags " + (",".join(result.flags) if result.flags else "-"),
     ]
     return body + "\n".join(report) + "\n"
 
 
 def cmd_amplify(args, tol) -> str:
-    ks, epss = args.k, args.eps
-    if args.sweep:
-        grid = {}
-        for clause in args.sweep.split(";"):
-            name, _, vals = clause.partition("=")
-            name = name.strip()
-            if name in grid:
-                raise ValidationError(f"--sweep repeats {name}")
-            grid[name] = vals
-        if set(grid) != {"k", "eps"}:
-            raise ValidationError("--sweep expects `k=...;eps=...`")
-        ks, epss = _ints(grid["k"]), _floats(grid["eps"])
-    if not ks or not epss:
+    if not args.k or not args.eps:
         raise ValidationError("need at least one k and one eps")
     rows = ["k,epsilon,l,exact_reject,kl_bound,sqrt_k_bound,mc_estimate,mc_stderr,seed"]
-    for k in ks:
-        for eps in epss:
+    for k in args.k:
+        for eps in args.eps:
             p = AmplifyParams(k, eps)
             tb = tail_bounds(p)
             if args.mc:  # simulate_majority_vote refuses a negative count
@@ -271,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("hamiltonian")
     p.add_argument("--k", type=int, default=6)
     p.add_argument("--method", default="auto",
-                   choices=["auto", "dense", "sparse", "iterative"])
+                   choices=["auto", "dense", "iterative"])
     p.set_defaults(func=cmd_spectrum)
 
     p = add("witness", "circuit file -> extracted witness")
@@ -286,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_ints, default=[], help="comma list of copy counts")
     p.add_argument("--eps", type=_floats, default=[], help="comma list of epsilons")
     p.add_argument("--mc", type=int, default=0, help="Monte Carlo shots per row")
-    p.add_argument("--sweep", default=None, help="grid `k=...;eps=...`")
     p.set_defaults(func=cmd_amplify)
 
     p = add("gibbs", "term list -> thermal sweep table")

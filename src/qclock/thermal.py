@@ -86,9 +86,12 @@ def _thermal_report(evals: np.ndarray, temp: Temperature) -> ThermalReport:
         shifted = np.exp(-(evals - e_min) / temp.value)
     z_shifted = shifted.sum()
     pops = shifted / z_shifted
-    # Z in absolute units; may overflow to inf for strongly negative spectra
-    z = float(z_shifted * math.exp(-e_min / temp.value)) if abs(e_min / temp.value) < 700 \
-        else float("inf") if -e_min / temp.value > 0 else 0.0
+    # Z in absolute units, on Python floats: exp underflows to 0 and the
+    # product overflows to inf, both silently; only exp itself raises
+    try:
+        z = float(z_shifted) * math.exp(-e_min / temp.value)
+    except OverflowError:    # z_shifted >= 1, so Z is past float range
+        z = math.inf
     return ThermalReport(
         mean_energy=float(np.dot(pops, evals)),
         partition_function=z,

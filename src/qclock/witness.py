@@ -6,20 +6,21 @@ the compiled Hamiltonian, already in the history frame, of dimension
 2^w (L+1) instead of 2^(w+L). A low-energy source maps H' alone to a
 square-root factor F of a state on it (rho = F F^dag); the energy is
 <F|H' F>, and the input-register trace of F F^dag is A A^dag for a reshape
-A of F, so the witness is built from the factor A. No 2^N register is
-compiled, assembled or pulled back. extract_witness takes a
-user's state on the full compiled register instead: its factor is pulled
-back through the history transform W, and the same trace follows. Only the
-2^n x 2^n witness on the input register is ever formed as a matrix. For the
-verifier, a term of weight w_j is drawn with probability w_j / total_weight
-and its matrix measured as a two-outcome POVM, so the overall acceptance is
-1 - tr(rho H) / total_weight.
+A of F, so the witness is built from the factor A. With k copies it is the
+uniform mixture of the k input-register marginals: the state that reading
+one register chosen uniformly at random yields, taken exactly, so no
+randomness is drawn. No 2^N register is compiled, assembled or pulled
+back. extract_witness takes a user's state on the full compiled register
+instead: its factor is pulled back through the history transform W, and
+the same trace follows. Only the 2^n x 2^n witness on the input register
+is ever formed as a matrix. For the verifier, a term of weight w_j is drawn
+with probability w_j / total_weight and its matrix measured as a
+two-outcome POVM, so the overall acceptance is 1 - tr(rho H) / total_weight.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ValidationError
 from .qcore import DensityMatrix, RegisterLayout, _check_factor, named_stream
+from .amplify import _SHOT_CHUNK
 from .circuit import (
     EXPLICIT_LABELS, Circuit, Gate, _accept_on, _optimal_on, acceptance_operator,
 )
@@ -38,22 +40,10 @@ from .spectral import matvec
 from .thermal import _decision_energy
 
 __all__ = [
-    "WitnessParams", "WitnessResult", "extract_witness", "povm_verifier_accept",
+    "WitnessResult", "extract_witness", "povm_verifier_accept",
     "povm_verifier_sample", "replicate_circuit", "prepare_witness",
     "sufficient_copies", "hamiltonian_energy",
 ]
-
-
-@dataclass(frozen=True)
-class WitnessParams:
-    """Pipeline parameters: copy count k, RNG seed."""
-
-    k: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValidationError(f"copy count k={self.k} must be >= 1")
 
 
 class WitnessResult(NamedTuple):
@@ -62,7 +52,6 @@ class WitnessResult(NamedTuple):
     energy: float               # tr(rho H) of the supplied low-energy state
     flags: tuple                # subset of {"no-witness-regime", "degenerate"}
     k: int
-    seed: int
     leak: float = 0.0           # _projection_leak of the default compiled H when
                                 # the energy was taken on the legal restriction
 
@@ -76,8 +65,7 @@ def hamiltonian_energy(rho: DensityMatrix, h: LocalHamiltonian) -> float:
     return float(np.vdot(f, matvec(h, f)).real)
 
 
-def _witness_tail(f: np.ndarray, m: np.ndarray, meta: Circuit,
-                  pick: int | None = None):
+def _witness_tail(f: np.ndarray, m: np.ndarray, meta: Circuit):
     """Read an input witness of c out of a history-frame factor F of meta.
 
     m is c's acceptance operator; meta is c or its k-copy replica. F's rows
@@ -85,15 +73,15 @@ def _witness_tail(f: np.ndarray, m: np.ndarray, meta: Circuit,
     legal_hamiltonian factor, or x 2^L + clock bits for a full-register
     factor pulled back through W. The trace of F F^dag onto input block i
     is A A^dag, where A is F reshaped so that block i's qubits index the
-    rows. The witness is the uniform mixture over the k blocks, or block
-    `pick` alone: the state with factor [A_1 ... A_k] / sqrt(k). Returns
-    (witness, acceptance of c on it).
+    rows. The witness is the uniform mixture over the k blocks: the state
+    with factor [A_1 ... A_k] / sqrt(k). Returns (witness, acceptance of c
+    on it).
     """
     n = len(m).bit_length() - 1
-    blocks = range(meta.n_input // n) if pick is None else (pick,)
+    k = meta.n_input // n
     a = np.hstack([f.reshape(2 ** (i * n), 2 ** n, -1).swapaxes(0, 1).reshape(2 ** n, -1)
-                   for i in blocks])
-    sigma = DensityMatrix(n, factor=a / math.sqrt(len(blocks)))
+                   for i in range(k)])
+    sigma = DensityMatrix(n, factor=a / math.sqrt(k))
     return sigma, _accept_on(m, sigma)
 
 
@@ -115,9 +103,9 @@ def extract_witness(rho: DensityMatrix, c: Circuit,
     elif ham.num_qubits != expected:
         raise ValidationError("Hamiltonian register does not match the circuit")
     sigma, acc = _witness_tail(history_pull_back(c, rho.factor),
-                               acceptance_operator(c), c, pick=0)
+                               acceptance_operator(c), c)
     energy = hamiltonian_energy(rho, ham)
-    return WitnessResult(sigma, acc, energy, (), 1, 0)
+    return WitnessResult(sigma, acc, energy, (), 1)
 
 
 def povm_verifier_accept(rho: DensityMatrix, h: LocalHamiltonian) -> float:
@@ -138,7 +126,11 @@ def povm_verifier_sample(rho: DensityMatrix, h: LocalHamiltonian,
     """Monte Carlo of the two-stage verifier; returns (estimate, stderr).
 
     Every term matrix must have spectrum inside [0, 1] to be a POVM
-    element; hopping terms of compiled Hamiltonians do not qualify.
+    element; hopping terms of compiled Hamiltonians do not qualify. The
+    shots are drawn in chunks of _SHOT_CHUNK from one stream, term choices
+    then rejections per chunk, so memory does not grow with the shot
+    count; up to one chunk the draws are those of one array, and a larger
+    count draws in a different order.
     """
     if shots < 1:
         raise ValidationError(f"shots {shots} must be >= 1")
@@ -156,9 +148,12 @@ def povm_verifier_sample(rho: DensityMatrix, h: LocalHamiltonian,
     reject_probs = np.clip(reject_probs, 0.0, 1.0)
     weights = np.array([t.weight for t in h.terms]) / total
     rng = named_stream(seed, "povm-shots")
-    chosen = rng.choice(len(h.terms), size=shots, p=weights)
-    rejected = rng.random(shots) < reject_probs[chosen]
-    estimate = 1.0 - rejected.mean()
+    rejections = 0
+    for start in range(0, shots, _SHOT_CHUNK):
+        size = min(_SHOT_CHUNK, shots - start)
+        chosen = rng.choice(len(h.terms), size=size, p=weights)
+        rejections += int(np.count_nonzero(rng.random(size) < reject_probs[chosen]))
+    estimate = 1.0 - rejections / shots
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / shots)
     return float(estimate), float(stderr)
 
@@ -194,9 +189,8 @@ def replicate_circuit(c: Circuit, k: int):
 LowEnergySource = Callable[[np.ndarray], np.ndarray]
 
 
-def prepare_witness(c: Circuit, params: WitnessParams, source: LowEnergySource,
-                    target_energy: float | None = None,
-                    sample_register: bool = False) -> WitnessResult:
+def prepare_witness(c: Circuit, source: LowEnergySource, k: int = 1,
+                    target_energy: float | None = None) -> WitnessResult:
     """Full pipeline: replicate, restrict, cool, grade, extract.
 
     The k-copy meta-verifier carries one out-term per copy (the majority
@@ -209,14 +203,17 @@ def prepare_witness(c: Circuit, params: WitnessParams, source: LowEnergySource,
     meta. result.leak is clockham._projection_leak(meta, accepts): how far
     the compiled Hamiltonian's ground energy at the default penalty may lie
     below H''s. For a finite penalty, compile meta and call extract_witness
-    on its state. The witness is the uniform mixture over the k input
-    sub-registers, or one seeded choice when sample_register is set. When
-    the circuit has no witness (max acceptance <= epsilon) the result is
-    flagged and the energy target is not enforced.
+    on its state. The witness is the uniform mixture of the k input
+    sub-registers' marginals: exactly the state of one register chosen
+    uniformly at random, so nothing is drawn. When the circuit has no
+    witness (max acceptance <= epsilon) the result is flagged and the
+    energy target is not enforced.
     """
+    if k < 1:
+        raise ValidationError(f"copy count k={k} must be >= 1")
     # the cap comes before the k L replicated gates are built
-    _legal_dimension(params.k * (c.n_input + c.n_ancilla), params.k * c.length)
-    meta, accepts = replicate_circuit(c, params.k)
+    _legal_dimension(k * (c.n_input + c.n_ancilla), k * c.length)
+    meta, accepts = replicate_circuit(c, k)
     target = (_decision_energy(meta.length)
               if target_energy is None else float(target_energy))
     if not math.isfinite(target):
@@ -236,12 +233,8 @@ def prepare_witness(c: Circuit, params: WitnessParams, source: LowEnergySource,
         raise ConsistencyError(
             f"low-energy source achieved {energy!r}, above target {target!r}"
         )
-
-    pick = None
-    if sample_register:
-        pick = int(named_stream(params.seed, "register-choice").integers(params.k))
-    sigma, acc = _witness_tail(f, m, meta, pick)
-    return WitnessResult(sigma, acc, energy, tuple(flags), params.k, params.seed,
+    sigma, acc = _witness_tail(f, m, meta)
+    return WitnessResult(sigma, acc, energy, tuple(flags), k,
                          _projection_leak(meta, accepts))
 
 

@@ -84,7 +84,12 @@ def test_spectrum_report(ham_file, capsys):
 
 
 def test_spectrum_sparse_alias(ham_file, capsys):
-    assert main(["spectrum", ham_file, "--method", "sparse"]) == 0
+    # iterative is the one spelling; sparse is an argparse usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", ham_file, "--method", "sparse"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'sparse'" in capsys.readouterr().err
+    assert main(["spectrum", ham_file, "--method", "iterative"]) == 0
     lines = dict(line.split(" ", 1)
                  for line in capsys.readouterr().out.strip().split("\n"))
     # 2-qubit instance: the iterative path falls back to dense honestly
@@ -135,6 +140,18 @@ def test_witness_output_block(circuit_file, capsys):
     n, entries = q.read_matrix(head)
     assert n == 1
     assert abs(np.trace(entries) - 1.0) < 1e-12
+
+
+def test_witness_echoes_the_seed_but_draws_nothing(circuit_file, capsys):
+    # the k-copy witness is the exact mixture of the register marginals, so
+    # --seed changes the echoed seed line and nothing else
+    outs = []
+    for seed in ("1", "2"):
+        assert main(["witness", circuit_file, "--k", "2", "--seed", seed]) == 0
+        outs.append(capsys.readouterr().out.splitlines())
+    assert len(outs[0]) == len(outs[1])
+    differ = [(a, b) for a, b in zip(*outs) if a != b]
+    assert differ == [("seed 1", "seed 2")]
 
 
 def test_witness_of_marginal_gates(tmp_path, capsys):
@@ -307,6 +324,12 @@ def test_amplify_table(capsys):
     first = rows[1].split(",")
     assert first[0] == "16" and first[2] == "4"
     assert first[6] == "nan" and first[7] == "nan"
+    assert main(["amplify"]) == 2  # nothing to tabulate
+    # the grid is given by --k and --eps only
+    with pytest.raises(SystemExit) as exc:
+        main(["amplify", "--sweep", "k=16,81;eps=0.25"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sweep" in capsys.readouterr().err
 
 
 def test_amplify_mc_columns(capsys):
@@ -340,17 +363,6 @@ def test_amplify_refuses_k_past_a_c_int(capsys):
         assert main(["amplify", "--k", k, "--eps", "0.25"]) == 2
         cap = capsys.readouterr()
         assert cap.out == "" and f"k={k} above 2**31 - 1" in cap.err
-
-
-def test_amplify_sweep_grammar(capsys):
-    assert main(["amplify", "--sweep", "k=16,81;eps=0.25"]) == 0
-    rows = capsys.readouterr().out.strip().split("\n")
-    assert len(rows) == 3
-    assert main(["amplify", "--sweep", "k=16"]) == 2
-    assert main(["amplify", "--sweep", "k=16;eps=0.25;k=81"]) == 2
-    cap = capsys.readouterr()
-    assert "--sweep repeats k" in cap.err and cap.out == ""
-    assert main(["amplify"]) == 2  # nothing to tabulate
 
 
 def test_gibbs_table(ham_file, capsys):

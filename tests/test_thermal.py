@@ -310,6 +310,23 @@ def test_gibbs_reports_at_a_vanishing_temperature():
     assert report.populations[0] > 0 and report.populations[-1] == 0.0
 
 
+@pytest.mark.parametrize("part, sign, ratio", [
+    ("in", 1.0, 720.0),              # Z = 2 e^-720, about 4.1e-313
+    ("prop_hopping", -1.0, 705.0),   # Z = 2 e^705, about 3.0e306
+], ids=["underflow-band", "overflow-band"])
+def test_partition_function_in_the_representable_band(part, sign, ratio):
+    # past |E0/T| = 700 and short of float64's range, Z is finite and
+    # nonzero; a 1-qubit term sign * 0.5 I has two levels at E0
+    term = q.LocalTerm(part, 0.5, (0,), sign * np.eye(2))
+    h = q.LocalHamiltonian(q.RegisterLayout(1, 0, 0), (term,))
+    (report,) = q.gibbs_reports(h, [0.5 / ratio])
+    assert report.partition_function == pytest.approx(2 * math.exp(-sign * ratio),
+                                                      rel=1e-9, abs=0)
+    # past the range, Z is inf, with no overflow warning
+    (report,) = q.gibbs_reports(h, [0.5 / 800])
+    assert report.partition_function == (math.inf if sign < 0 else 0.0)
+
+
 def test_gibbs_decide_explicit_energy_override():
     rng = rng_for("decide-override")
     h = random_povm_hamiltonian(rng, 2, 3)

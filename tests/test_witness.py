@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,17 +71,16 @@ def test_extract_witness_factor_pull_back_matches_dense_oracle():
     assert abs(res.energy - energy) < 1e-12 * h.total_weight
 
 
-@pytest.mark.parametrize("pick", [None, 0, 1])
-def test_witness_tail_two_copies_matches_dense_oracle(pick):
-    # k = 2: the uniform mixture of both input blocks, or one picked block
-    rng = rng_for(f"tail-2-{pick}")
+def test_witness_tail_two_copies_matches_dense_oracle():
+    # k = 2: the uniform mixture of both input blocks
+    rng = rng_for("tail-2-None")
     c = random_circuit(rng, n_input=1, n_ancilla=1, length=2)
     meta, _ = q.replicate_circuit(c, 2)
     total = meta.n_input + meta.n_ancilla + meta.length
     f = random_factor(rng, total, 2)
     sigma, acc = witness._witness_tail(q.history_pull_back(meta, f),
-                                       q.acceptance_operator(c), meta, pick)
-    want = dense_witness_oracle(f, c, meta, [0, 1] if pick is None else [pick])
+                                       q.acceptance_operator(c), meta)
+    want = dense_witness_oracle(f, c, meta, [0, 1])
     np.testing.assert_allclose(sigma.entries, want, atol=1e-12)
     assert abs(acc - accept_oracle(c, want)) < 1e-12
 
@@ -123,6 +124,37 @@ def test_povm_verifier_sample_deterministic():
     rho = random_density_matrix(rng, 3)
     assert (q.povm_verifier_sample(rho, h, shots=500, seed=3)
             == q.povm_verifier_sample(rho, h, shots=500, seed=3))
+
+
+def test_povm_verifier_sample_keeps_its_draws_up_to_one_chunk():
+    # up to _SHOT_CHUNK shots the chunked draws are those of one array:
+    # the values of the all-at-once sampler, pinned
+    rng = rng_for("povm-chunk")
+    h = random_povm_hamiltonian(rng, 3, 5)
+    rho = random_density_matrix(rng, 3)
+    assert q.povm_verifier_sample(rho, h, shots=1000, seed=3) == (
+        0.515, 0.01580427157448264)
+    assert q.povm_verifier_sample(rho, h, shots=2 ** 20, seed=3) == (
+        0.5051450729370117, 0.0004882553979723446)
+
+
+def test_povm_verifier_sample_holds_one_chunk_of_shots(monkeypatch):
+    # about 25 bytes per shot in flight (term choice, its rejection
+    # probability, a uniform draw, the verdict); four chunks' worth of
+    # shots never hold two chunks' worth, where one array held all four
+    chunk = 2 ** 14
+    monkeypatch.setattr(witness, "_SHOT_CHUNK", chunk)
+    rng = rng_for("povm-chunk")
+    h = random_povm_hamiltonian(rng, 3, 5)
+    rho = random_density_matrix(rng, 3)
+    tracemalloc.start()
+    try:
+        est, _ = q.povm_verifier_sample(rho, h, shots=4 * chunk, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 25 * chunk
+    assert abs(est - q.povm_verifier_accept(rho, h)) < 0.02
 
 
 def test_povm_verifier_sample_rejects_indefinite_terms():
@@ -181,7 +213,7 @@ def test_prepare_witness_hands_the_source_only_the_hamiltonian():
         seen.append(h)
         return q.ground_space_factor(h)
 
-    q.prepare_witness(c, q.WitnessParams(k=1, seed=0), source)
+    q.prepare_witness(c, source)
     assert len(seen) == 1
     np.testing.assert_array_equal(seen[0], q.legal_hamiltonian(c))
 
@@ -189,7 +221,7 @@ def test_prepare_witness_hands_the_source_only_the_hamiltonian():
 def test_prepare_witness_ground_source():
     rng = rng_for("prep")
     c = random_circuit(rng, n_input=2, n_ancilla=0, length=2)
-    res = q.prepare_witness(c, q.WitnessParams(k=1, seed=0), ground_source)
+    res = q.prepare_witness(c, ground_source)
     assert res.accept_probability > 0.995
     assert res.k == 1
     assert res.witness.num_qubits == 2
@@ -198,14 +230,14 @@ def test_prepare_witness_ground_source():
 def test_prepare_witness_multi_copy_mixture():
     rng = rng_for("prep-k")
     c = random_circuit(rng, n_input=1, n_ancilla=0, length=1)
-    res = q.prepare_witness(c, q.WitnessParams(k=2, seed=0), ground_source)
+    res = q.prepare_witness(c, ground_source, k=2)
     assert res.witness.num_qubits == 1
     assert res.accept_probability > 0.99
 
 
 def test_prepare_witness_flags_no_witness_regime():
     c = all_reject_circuit(rng_for("prep-reject"), 1, 1)
-    res = q.prepare_witness(c, q.WitnessParams(k=1, seed=0), ground_source)
+    res = q.prepare_witness(c, ground_source)
     assert "no-witness-regime" in res.flags
     # max acceptance is 0, so whatever came out accepts with probability ~0
     assert res.accept_probability < 1e-9
@@ -216,18 +248,7 @@ def test_prepare_witness_enforces_energy_target():
     c = random_circuit(rng, n_input=1, n_ancilla=0, length=1)
     maximally_mixed = lambda h: np.eye(len(h)) / np.sqrt(len(h))
     with pytest.raises(q.ConsistencyError):
-        q.prepare_witness(c, q.WitnessParams(k=1, seed=0),
-                          maximally_mixed)
-
-
-def test_prepare_witness_sampled_register_deterministic():
-    rng = rng_for("prep-sample")
-    c = random_circuit(rng, n_input=1, n_ancilla=0, length=1)
-    r1 = q.prepare_witness(c, q.WitnessParams(k=2, seed=5), ground_source,
-                           sample_register=True)
-    r2 = q.prepare_witness(c, q.WitnessParams(k=2, seed=5), ground_source,
-                           sample_register=True)
-    np.testing.assert_array_equal(r1.witness.entries, r2.witness.entries)
+        q.prepare_witness(c, maximally_mixed)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -239,7 +260,7 @@ def test_prepare_witness_sampled_register_deterministic():
 def test_prepare_witness_checks_the_source_factor(bad, message):
     c = random_circuit(rng_for("prep-bad"), n_input=1, n_ancilla=1, length=2)
     with pytest.raises(q.ValidationError, match=message):
-        q.prepare_witness(c, q.WitnessParams(k=1, seed=0), bad)
+        q.prepare_witness(c, bad)
 
 
 def embed_legal_factor(f, meta):
@@ -253,26 +274,20 @@ def embed_legal_factor(f, meta):
     return full
 
 
-@pytest.mark.parametrize("k, pick", [(1, None), (2, None), (2, 0), (2, 1)])
-def test_prepare_witness_matches_legal_oracle(k, pick):
+@pytest.mark.parametrize("k", [1, 2])
+def test_prepare_witness_matches_legal_oracle(k):
     # the ground space of the conftest legal oracle, mixed uniformly and
     # traced onto the input blocks by index loops
-    rng = rng_for(f"prep-oracle-{k}-{pick}")
+    rng = rng_for(f"prep-oracle-{k}-None")
     c = random_circuit(rng, n_input=1, n_ancilla=1, length=2)
     meta, accepts = q.replicate_circuit(c, k)
     evals, evecs = np.linalg.eigh(legal_oracle(meta, accepts))
     ground = evecs[:, evals - evals[0] <= 1e-10]
     f = embed_legal_factor(ground / np.sqrt(ground.shape[1]), meta)
     total = meta.n_input + meta.n_ancilla + meta.length
-    blocks = range(k) if pick is None else [pick]
     want = sum(partial_trace_oracle(f @ f.conj().T, range(i, i + 1), total)
-               for i in blocks) / len(blocks)
-    seed = 0
-    if pick is not None:    # find the seed whose register choice is `pick`
-        seed = next(s for s in range(100) if q.named_stream(
-            s, "register-choice").integers(k) == pick)
-    res = q.prepare_witness(c, q.WitnessParams(k=k, seed=seed), ground_source,
-                            sample_register=pick is not None)
+               for i in range(k)) / k
+    res = q.prepare_witness(c, ground_source, k=k)
     np.testing.assert_allclose(res.witness.entries, want, atol=1e-12)
     assert abs(res.accept_probability - accept_oracle(c, want)) < 1e-12
     assert abs(res.energy - evals[0]) < 1e-12
@@ -290,7 +305,7 @@ def test_prepare_witness_never_touches_the_full_register(monkeypatch):
         monkeypatch.setattr(module, name, refuse)
     c = random_circuit(rng_for("prep-legal-only"), n_input=2, n_ancilla=1, length=3)
     for source in (ground_source, lambda h: q.gibbs_factor(h, 0.01)[0]):
-        res = q.prepare_witness(c, q.WitnessParams(k=2, seed=0), source)
+        res = q.prepare_witness(c, source, k=2)
         assert res.witness.num_qubits == 2
 
 
@@ -308,7 +323,7 @@ def test_prepare_witness_builds_the_acceptance_operator_once(monkeypatch):
     c = random_circuit(rng_for("prep-one-m"), n_input=2, n_ancilla=1, length=3)
     for k in (1, 2):
         built.clear()
-        q.prepare_witness(c, q.WitnessParams(k=k, seed=0), ground_source)
+        q.prepare_witness(c, ground_source, k=k)
         assert built == [c]
 
 
@@ -317,13 +332,12 @@ def test_two_copy_witness_past_the_register_cap():
     # compiled register, which compile_circuit refuses; its legal
     # restriction has 64 * 17 = 1088 dimensions
     rng = rng_for("prep-k2-22")
-    params = q.WitnessParams(k=2, seed=0)
     c = perfect_circuit(rng, 3, 8)
     meta, accepts = q.replicate_circuit(c, 2)
     assert meta.n_input + meta.n_ancilla + meta.length == 22
     with pytest.raises(q.ResourceLimitError):
         q.compile_circuit(meta, accept_qubits=accepts)
-    res = q.prepare_witness(c, params, ground_source)
+    res = q.prepare_witness(c, ground_source, k=2)
     assert res.accept_probability >= 1 - 1e-12
     assert abs(res.energy) < 1e-12
     assert "no-witness-regime" not in res.flags
@@ -331,7 +345,7 @@ def test_two_copy_witness_past_the_register_cap():
     c = all_reject_circuit(rng, 2, 8)
     meta, _ = q.replicate_circuit(c, 2)
     assert meta.n_input + meta.n_ancilla + meta.length == 22
-    res = q.prepare_witness(c, params, ground_source)
+    res = q.prepare_witness(c, ground_source, k=2)
     assert res.accept_probability <= 1e-12
     assert "no-witness-regime" in res.flags
 
@@ -340,7 +354,7 @@ def test_prepare_witness_refuses_legal_dimension_past_the_cap():
     # three copies: 512 * 25 = 12800 legal dimensions
     c = perfect_circuit(rng_for("prep-k3"), 3, 8)
     with pytest.raises(q.ResourceLimitError, match="dense cap"):
-        q.prepare_witness(c, q.WitnessParams(k=3, seed=0), ground_source)
+        q.prepare_witness(c, ground_source, k=3)
 
 
 def test_prepare_witness_checks_the_cap_before_any_dense_work(monkeypatch):
@@ -352,7 +366,7 @@ def test_prepare_witness_checks_the_cap_before_any_dense_work(monkeypatch):
     monkeypatch.setattr(circuit, "circuit_unitary", refuse)
     c = q.parse_circuit("n_input 10\nn_ancilla 1\naccept 0\ngate H 0\ngate CNOT 0 10\n")
     with pytest.raises(q.ResourceLimitError, match="dense cap"):
-        q.prepare_witness(c, q.WitnessParams(k=1, seed=0), ground_source)
+        q.prepare_witness(c, ground_source)
 
 
 def test_prepare_witness_reports_the_projection_leak():
@@ -360,20 +374,20 @@ def test_prepare_witness_reports_the_projection_leak():
     # the leak is 25 / (4096 - 10); the compiled ground energy lies within
     # it below the legal one
     c = random_circuit(rng_for("prep-leak"), n_input=1, n_ancilla=1, length=2)
-    res = q.prepare_witness(c, q.WitnessParams(k=1, seed=0), ground_source)
+    res = q.prepare_witness(c, ground_source)
     assert res.leak == 25.0 / (4096.0 - 10.0)
     legal = np.linalg.eigvalsh(legal_oracle(c, (c.accept_qubit,)))[0]
     full = np.linalg.eigvalsh(assemble_oracle(q.compile_circuit(c)))[0]
     assert abs(res.energy - legal) < 1e-12
     assert legal - res.leak <= full <= legal + 1e-12
     # two copies: 2 ancillas, 2 out-terms, L = 4, so ||H1|| <= 10
-    res = q.prepare_witness(c, q.WitnessParams(k=2, seed=0), ground_source)
+    res = q.prepare_witness(c, ground_source, k=2)
     assert res.leak == 100.0 / (4.0 ** 12 - 20.0)
     # L = 1 has no clock terms and every clock state is legal, so nothing
     # leaks: the compiled ground energy is the legal one
     rng = rng_for("prep-leak-one-step")
     for one_step in (perfect_circuit(rng, 1, 1), all_reject_circuit(rng, 1, 1)):
-        res = q.prepare_witness(one_step, q.WitnessParams(k=1, seed=0), ground_source)
+        res = q.prepare_witness(one_step, ground_source)
         assert res.leak == 0.0
         legal = np.linalg.eigvalsh(legal_oracle(one_step, (one_step.accept_qubit,)))[0]
         full = np.linalg.eigvalsh(assemble_oracle(q.compile_circuit(one_step)))[0]
@@ -404,5 +418,10 @@ def test_sufficient_copies_frozen_values():
 
 
 def test_witness_params_validation():
-    with pytest.raises(q.ValidationError):
-        q.WitnessParams(k=0, seed=0)
+    # k is checked first, before the legal-dimension cap or the source runs
+    def refuse(h):
+        raise AssertionError("source called before the copy-count check")
+
+    c = random_circuit(rng_for("prep-k0"), n_input=1, n_ancilla=0, length=1)
+    with pytest.raises(q.ValidationError, match=r"^copy count k=0 must be >= 1$"):
+        q.prepare_witness(c, refuse, k=0)
